@@ -20,8 +20,8 @@ use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::NodeId;
 
 use crate::{
-    find_bridge_ends, BridgeEndRule, BridgeEnds, CoverageScratch, LcrbError, ObjectiveModel,
-    ProtectionObjective, RumorBlockingInstance, SketchObjective, SketchParams,
+    find_bridge_ends, star_sets, BridgeEndRule, BridgeEnds, CoverageScratch, LcrbError,
+    ObjectiveModel, ProtectionObjective, RumorBlockingInstance, SketchObjective, SketchParams,
 };
 
 /// Where Algorithm 1 looks for protector candidates.
@@ -647,24 +647,7 @@ fn candidate_pool(
                 .filter(|&v| back.is_reached(v) && !instance.is_rumor_seed(v))
                 .collect()
         }
-        CandidatePool::BbstUnion => {
-            let mut d_r = CsrBfsScratch::new();
-            d_r.run(csr, instance.rumor_seeds(), Direction::Forward, u32::MAX);
-            // xtask-allow: hotpath -- one-time pool construction per greedy run, outside the evaluation loop
-            let mut in_pool = vec![false; g.node_count()];
-            let mut back = CsrBfsScratch::new();
-            for &v in &bridge_ends.nodes {
-                // xtask-allow: panic -- bridge ends are discovered by forward BFS from the rumor seeds, so a distance exists
-                let depth = d_r.distance(v).expect("bridge ends are reachable");
-                back.run(csr, &[v], Direction::Backward, depth);
-                for &u in back.order() {
-                    in_pool[u.index()] = true;
-                }
-            }
-            g.nodes()
-                .filter(|&v| in_pool[v.index()] && !instance.is_rumor_seed(v))
-                .collect()
-        }
+        CandidatePool::BbstUnion => star_sets(instance, bridge_ends, None).candidates,
     };
     nodes.sort_unstable();
     nodes

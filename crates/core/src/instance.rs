@@ -1,5 +1,7 @@
 //! The LCRB problem instance (Definition 2 of the paper).
 
+use std::sync::Arc;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -16,7 +18,10 @@ use crate::LcrbError;
 /// The instance owns the graph and partition, and freezes a
 /// [`CsrGraph`] snapshot once at construction; every solver in this
 /// crate simulates against that snapshot (snapshot once, simulate
-/// many).
+/// many). The three are immutable and shared behind [`Arc`], so
+/// cloning an instance or re-seeding it
+/// ([`RumorBlockingInstance::with_rumor_seeds`]) copies only the seed
+/// list.
 ///
 /// # Examples
 ///
@@ -36,9 +41,9 @@ use crate::LcrbError;
 /// ```
 #[derive(Clone, Debug)]
 pub struct RumorBlockingInstance {
-    graph: DiGraph,
-    snapshot: CsrGraph,
-    partition: Partition,
+    graph: Arc<DiGraph>,
+    snapshot: Arc<CsrGraph>,
+    partition: Arc<Partition>,
     rumor_community: usize,
     rumor_seeds: Vec<NodeId>,
 }
@@ -85,11 +90,11 @@ impl RumorBlockingInstance {
                 });
             }
         }
-        let snapshot = CsrGraph::from(&graph);
+        let snapshot = Arc::new(CsrGraph::from(&graph));
         Ok(RumorBlockingInstance {
-            graph,
+            graph: Arc::new(graph),
             snapshot,
-            partition,
+            partition: Arc::new(partition),
             rumor_community,
             rumor_seeds,
         })
@@ -181,9 +186,9 @@ impl RumorBlockingInstance {
         self.rumor_seeds.contains(&node)
     }
 
-    /// Rebuilds the instance with a different rumor seed set,
-    /// reusing the already-frozen CSR snapshot (the graph does not
-    /// change, so there is nothing to re-freeze).
+    /// Rebuilds the instance with a different rumor seed set, sharing
+    /// the graph, partition and frozen CSR snapshot with `self` (they
+    /// do not change, so nothing is copied or re-frozen).
     ///
     /// This is the re-seeding hook behind
     /// [`crate::engine::Solver::set_rumor_seeds`]; the engine bumps
@@ -209,9 +214,9 @@ impl RumorBlockingInstance {
             }
         }
         Ok(RumorBlockingInstance {
-            graph: self.graph.clone(),
-            snapshot: self.snapshot.clone(),
-            partition: self.partition.clone(),
+            graph: Arc::clone(&self.graph),
+            snapshot: Arc::clone(&self.snapshot),
+            partition: Arc::clone(&self.partition),
             rumor_community: self.rumor_community,
             rumor_seeds,
         })
@@ -330,7 +335,10 @@ mod tests {
             .unwrap();
         assert_eq!(reseeded.rumor_seeds(), &[NodeId::new(1), NodeId::new(2)]);
         assert_eq!(reseeded.rumor_community(), inst.rumor_community());
-        assert_eq!(reseeded.graph().node_count(), inst.graph().node_count());
+        // The frozen structure is shared, not copied.
+        assert!(std::ptr::eq(reseeded.graph(), inst.graph()));
+        assert!(std::ptr::eq(reseeded.snapshot(), inst.snapshot()));
+        assert!(std::ptr::eq(reseeded.partition(), inst.partition()));
         assert!(matches!(
             inst.with_rumor_seeds(vec![]).unwrap_err(),
             LcrbError::NoRumorSeeds

@@ -88,5 +88,5 @@ pub use heuristics::{
 pub use instance::RumorBlockingInstance;
 pub use lcrb_diffusion::{CancelToken, RunBudget, StopReason, WorkMeter};
 pub use objective::{ObjectiveModel, ProtectionObjective};
-pub use scbg::{scbg, scbg_weighted, ScbgConfig, ScbgSolution};
+pub use scbg::{scbg, scbg_weighted, star_sets, ScbgConfig, ScbgSolution, StarSets};
 pub use sketch_objective::{CoverageScratch, SketchIndex, SketchObjective, SketchParams};

@@ -15,18 +15,25 @@
 //! 4. run greedy set cover (Algorithm 2) over the `SW_u` to cover `B`
 //!    (step 6).
 //!
+//! Steps 2–3 are one bit-parallel kernel ([`star_sets`]): a
+//! multi-source backward BFS over the CSR in-neighbours that grows 64
+//! BBSTs at once, one bit per bridge end, and leaves each node with a
+//! row of `⌈|B|/64⌉` words whose bit `b` is set iff the node lies in
+//! `Q_b` — which *is* its star set, so no inversion pass is needed.
+//! Step 4 runs the lazy greedy over those rows
+//! ([`crate::setcover::BitSets`]). The meter is polled once per
+//! 64-end batch of the BFS and once per cover pick.
+//!
 //! Because the DOAM oracle is exact (see `lcrb-diffusion::doam`),
 //! every SCBG cover is a *certified* solution: all bridge ends are
 //! provably protected. The approximation factor is `H(|B|) = O(ln
 //! |B|)` by the set-cover reduction (Theorems 2–3).
 
-use std::collections::BTreeMap;
-
 use lcrb_diffusion::{StopReason, WorkMeter};
 use lcrb_graph::traversal::{CsrBfsScratch, Direction};
-use lcrb_graph::NodeId;
+use lcrb_graph::{CsrGraph, NodeId};
 
-use crate::setcover::greedy_set_cover_metered;
+use crate::setcover::{greedy_set_cover_metered, weighted_set_cover, BitSets};
 use crate::{find_bridge_ends, BridgeEndRule, BridgeEnds, RumorBlockingInstance};
 
 /// Tuning knobs for [`scbg`].
@@ -98,7 +105,7 @@ pub fn scbg(instance: &RumorBlockingInstance, config: &ScbgConfig) -> ScbgSoluti
 }
 
 /// [`scbg`] under a [`WorkMeter`]: the star-set build polls once per
-/// bridge end and the cover loop once per pick.
+/// 64-end batch and the cover loop once per pick.
 ///
 /// A deadline stop during the *cover* keeps the selection prefix (a
 /// valid partial cover, reported via `Some(reason)` and a `covered`
@@ -117,68 +124,249 @@ pub(crate) fn scbg_metered(
     meter: &WorkMeter,
 ) -> Result<(ScbgSolution, Option<StopReason>), StopReason> {
     let bridge_ends = find_bridge_ends(instance, config.rule);
-    let (candidates, sets) = build_star_sets(instance, &bridge_ends, config.max_bbst_depth, meter)?;
-    let (solution, stop) = greedy_set_cover_metered(bridge_ends.len(), &sets, meter)?;
-    let protectors = solution.selected.iter().map(|&i| candidates[i]).collect();
+    let star = star_sets_metered(instance, &bridge_ends, config.max_bbst_depth, meter)?;
+    let (solution, stop) = greedy_set_cover_metered(&star.sets, meter)?;
     Ok((
-        ScbgSolution {
-            protectors,
-            covered: solution.covered,
-            candidate_count: candidates.len(),
-            bridge_ends,
-        },
+        star.solution(solution.selected, solution.covered, bridge_ends),
         stop,
     ))
 }
 
-/// Steps 4–5 of Algorithm 3 on the instance's CSR snapshot: one
-/// backward BFS per bridge end `v` (depth `d_R(v)`, optionally
-/// capped) through a single reused [`CsrBfsScratch`], inverted on the
-/// fly into the star sets `SW_u = {v : u ∈ Q_v}`. Returns the
-/// candidate nodes in ascending id order (for reproducible covers)
-/// and their sets. Polls `meter` once per bridge end; any stop
+/// The star sets of Algorithm 3 (steps 4–5): the candidate
+/// protectors and, for each, the bridge ends its BBSTs reach.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StarSets {
+    /// The candidate pool `⋃ Q_v \ S_R`, in ascending id order (the
+    /// order the cover breaks ties in).
+    pub candidates: Vec<NodeId>,
+    /// `sets.elements(i)` is `SW_u` for `u = candidates[i]`, over the
+    /// universe of bridge-end indices (positions in
+    /// [`BridgeEnds::nodes`]).
+    pub sets: BitSets,
+}
+
+impl StarSets {
+    fn solution(
+        &self,
+        selected: Vec<usize>,
+        covered: usize,
+        bridge_ends: BridgeEnds,
+    ) -> ScbgSolution {
+        ScbgSolution {
+            protectors: selected.into_iter().map(|i| self.candidates[i]).collect(),
+            covered,
+            candidate_count: self.candidates.len(),
+            bridge_ends,
+        }
+    }
+}
+
+/// Builds every BBST `Q_v` of `bridge_ends` on the instance's CSR
+/// snapshot and returns them inverted into star sets `SW_u = {v : u ∈
+/// Q_v}` (steps 4–5 of Algorithm 3).
+///
+/// `Q_v` holds the nodes within `d_R(v)` backward hops of `v` (capped
+/// at `max_bbst_depth` when given), where `d_R(v)` is the hop distance
+/// from the nearest rumor originator. Searches pass through rumor
+/// seeds, but rumor seeds are never candidates.
+///
+/// The BFS is bit-parallel: 64 bridge ends per batch, one bit each,
+/// so the whole build is `⌈|B|/64⌉` multi-source sweeps. Peak memory
+/// is `n · ⌈|B|/64⌉` words of rows plus three `n`-word scratch arrays.
+///
+/// # Panics
+///
+/// Panics if a bridge end is not reachable from the rumor seeds —
+/// never the case for bridge ends from [`find_bridge_ends`].
+///
+/// # Examples
+///
+/// ```
+/// use lcrb::{find_bridge_ends, star_sets, BridgeEndRule, RumorBlockingInstance};
+/// use lcrb_community::Partition;
+/// use lcrb_graph::{DiGraph, NodeId};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // Gateway 1 is one hop from the rumor and reaches both bridge ends.
+/// let g = DiGraph::from_edges(5, [(0, 1), (1, 3), (1, 4)])?;
+/// let p = Partition::from_labels(vec![0, 0, 0, 1, 1]);
+/// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
+/// let bridge_ends = find_bridge_ends(&inst, BridgeEndRule::default());
+/// let star = star_sets(&inst, &bridge_ends, None);
+/// assert_eq!(star.candidates, vec![NodeId::new(1), NodeId::new(3), NodeId::new(4)]);
+/// assert_eq!(star.sets.elements(0).count(), 2);
+/// # Ok(())
+/// # }
+/// ```
+#[must_use]
+pub fn star_sets(
+    instance: &RumorBlockingInstance,
+    bridge_ends: &BridgeEnds,
+    max_bbst_depth: Option<u32>,
+) -> StarSets {
+    star_sets_metered(
+        instance,
+        bridge_ends,
+        max_bbst_depth,
+        &WorkMeter::unlimited(),
+    )
+    // xtask-allow: panic -- an unlimited meter's poll never stops the build
+    .expect("unlimited meter cannot stop the star-set build")
+}
+
+/// [`star_sets`] polling `meter` once per 64-end batch; any stop
 /// surfaces as an error because a partial star-set collection cannot
 /// seed a meaningful cover.
-fn build_star_sets(
+pub(crate) fn star_sets_metered(
     instance: &RumorBlockingInstance,
     bridge_ends: &BridgeEnds,
     max_bbst_depth: Option<u32>,
     meter: &WorkMeter,
-) -> Result<(Vec<NodeId>, Vec<Vec<u32>>), StopReason> {
+) -> Result<StarSets, StopReason> {
     let csr = instance.snapshot();
+    let n = csr.node_count();
     // Infection times: hop distance from the nearest rumor originator
     // in the full graph.
     let mut d_r = CsrBfsScratch::new();
     d_r.run(csr, instance.rumor_seeds(), Direction::Forward, u32::MAX);
+    let depths: Vec<u32> = bridge_ends
+        .nodes
+        .iter()
+        .map(|&v| {
+            let depth = d_r
+                .distance(v)
+                // xtask-allow: panic -- bridge ends are discovered by forward BFS from the rumor seeds, so a distance exists
+                .expect("bridge ends are reachable from the rumor originators by definition");
+            max_bbst_depth.map_or(depth, |cap| depth.min(cap))
+        })
+        .collect();
 
-    // xtask-allow: hotpath -- one-time setup per SCBG run, sized to the snapshot
-    let mut is_rumor = vec![false; csr.node_count()];
-    for &r in instance.rumor_seeds() {
-        is_rumor[r.index()] = true;
-    }
-
-    // A BTreeMap keyed by NodeId makes the candidate order (and thus
-    // the cover tie-breaks) deterministic by construction.
-    // xtask-allow: hotpath -- one star-set map per SCBG run, built outside the cover loop
-    let mut sw: BTreeMap<NodeId, Vec<u32>> = BTreeMap::new();
-    let mut back = CsrBfsScratch::new();
-    for (b_idx, &v) in bridge_ends.nodes.iter().enumerate() {
+    let width = bridge_ends.len().div_ceil(64);
+    // Node-major rows: word `k` of node `u`'s row is `rows[u * width + k]`.
+    // xtask-allow: hotpath -- the n × ⌈|B|/64⌉ row arena, allocated once per SCBG run
+    let mut rows = vec![0u64; n * width];
+    let mut bfs = BatchBfs::new(n);
+    for (k, (ends, depths)) in bridge_ends
+        .nodes
+        .chunks(64)
+        .zip(depths.chunks(64))
+        .enumerate()
+    {
         meter.poll()?;
-        let depth = d_r
-            .distance(v)
-            // xtask-allow: panic -- bridge ends are discovered by forward BFS from the rumor seeds, so a distance exists
-            .expect("bridge ends are reachable from the rumor originators by definition");
-        let depth = max_bbst_depth.map_or(depth, |cap| depth.min(cap));
-        back.run(csr, &[v], Direction::Backward, depth);
-        for &u in back.order() {
-            if !is_rumor[u.index()] {
-                sw.entry(u).or_default().push(b_idx as u32);
-            }
+        bfs.run(csr, ends, depths);
+        for &u in &bfs.touched {
+            rows[u.index() * width + k] = std::mem::take(&mut bfs.seen[u.index()]);
         }
     }
 
-    // BTreeMap iteration is already in ascending NodeId order.
-    Ok(sw.into_iter().unzip())
+    // Keep the rows of non-seed nodes some BBST reached, compacted in
+    // ascending id order.
+    // xtask-allow: hotpath -- one-time seed mask per SCBG run, sized to the snapshot
+    let mut is_rumor = vec![false; n];
+    for &r in instance.rumor_seeds() {
+        is_rumor[r.index()] = true;
+    }
+    // xtask-allow: hotpath -- the candidate list is the kernel's output
+    let mut candidates = Vec::new();
+    for (u, &rumor) in is_rumor.iter().enumerate() {
+        let start = u * width;
+        if !rumor && rows[start..start + width].iter().any(|&w| w != 0) {
+            rows.copy_within(start..start + width, candidates.len() * width);
+            candidates.push(NodeId::new(u));
+        }
+    }
+    rows.truncate(candidates.len() * width);
+    let sets = BitSets::from_rows(bridge_ends.len(), candidates.len(), rows);
+    Ok(StarSets { candidates, sets })
+}
+
+/// Scratch for one 64-source batch of the bit-parallel backward BFS
+/// (MS-BFS): per node, the sources that have reached it (`seen`),
+/// reached it at the current level (`frontier`), and will reach it at
+/// the next (`next`). All words are zero between batches except
+/// `seen` on `touched`, which the caller drains.
+struct BatchBfs {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+    /// Nodes with a non-zero `seen` word, in first-reached order.
+    touched: Vec<NodeId>,
+    frontier_nodes: Vec<NodeId>,
+    next_nodes: Vec<NodeId>,
+}
+
+impl BatchBfs {
+    fn new(n: usize) -> Self {
+        BatchBfs {
+            // xtask-allow: hotpath -- per-run scratch, reused by every batch
+            seen: vec![0; n],
+            // xtask-allow: hotpath -- per-run scratch, reused by every batch
+            frontier: vec![0; n],
+            // xtask-allow: hotpath -- per-run scratch, reused by every batch
+            next: vec![0; n],
+            // xtask-allow: hotpath -- per-run node list, reused by every batch
+            touched: Vec::new(),
+            // xtask-allow: hotpath -- per-run node list, reused by every level
+            frontier_nodes: Vec::new(),
+            // xtask-allow: hotpath -- per-run node list, reused by every level
+            next_nodes: Vec::new(),
+        }
+    }
+
+    /// Grows the BBSTs of up to 64 `ends` at once, bit `j` for
+    /// `ends[j]`, each to its own depth `depths[j]`: at level `ℓ` only
+    /// the bits whose depth is at least `ℓ` expand further.
+    fn run(&mut self, csr: &CsrGraph, ends: &[NodeId], depths: &[u32]) {
+        self.touched.clear();
+        self.frontier_nodes.clear();
+        for (j, &v) in ends.iter().enumerate() {
+            if self.seen[v.index()] == 0 {
+                self.touched.push(v);
+                self.frontier_nodes.push(v);
+            }
+            self.seen[v.index()] |= 1 << j;
+            self.frontier[v.index()] |= 1 << j;
+        }
+        let max_depth = depths.iter().copied().max().unwrap_or(0);
+        for level in 1..=max_depth {
+            let alive = depths
+                .iter()
+                .enumerate()
+                .filter(|&(_, &d)| d >= level)
+                .fold(0u64, |mask, (j, _)| mask | (1 << j));
+            self.next_nodes.clear();
+            for &x in &self.frontier_nodes {
+                let bits = std::mem::take(&mut self.frontier[x.index()]) & alive;
+                if bits == 0 {
+                    continue;
+                }
+                for &w in csr.in_neighbors(x) {
+                    let fresh = bits & !self.seen[w.index()];
+                    if fresh != 0 {
+                        if self.next[w.index()] == 0 {
+                            self.next_nodes.push(w);
+                        }
+                        self.next[w.index()] |= fresh;
+                    }
+                }
+            }
+            for &w in &self.next_nodes {
+                let fresh = std::mem::take(&mut self.next[w.index()]);
+                if self.seen[w.index()] == 0 {
+                    self.touched.push(w);
+                }
+                self.seen[w.index()] |= fresh;
+                self.frontier[w.index()] = fresh;
+            }
+            std::mem::swap(&mut self.frontier_nodes, &mut self.next_nodes);
+            if self.frontier_nodes.is_empty() {
+                break;
+            }
+        }
+        for &x in &self.frontier_nodes {
+            self.frontier[x.index()] = 0;
+        }
+    }
 }
 
 /// Cost-aware SCBG — an extension beyond the paper: protectors have
@@ -220,22 +408,10 @@ where
     F: Fn(NodeId) -> f64,
 {
     let bridge_ends = find_bridge_ends(instance, config.rule);
-    let (candidates, sets) = build_star_sets(
-        instance,
-        &bridge_ends,
-        config.max_bbst_depth,
-        &WorkMeter::unlimited(),
-    )
-    // xtask-allow: panic -- an unlimited meter's poll never stops the build
-    .expect("unlimited meter cannot stop the star-set build");
-    let costs: Vec<f64> = candidates.iter().map(|&u| cost(u)).collect();
-    let solution = crate::setcover::greedy_weighted_set_cover(bridge_ends.len(), &sets, &costs);
-    ScbgSolution {
-        protectors: solution.selected.iter().map(|&i| candidates[i]).collect(),
-        covered: solution.covered,
-        candidate_count: candidates.len(),
-        bridge_ends,
-    }
+    let star = star_sets(instance, &bridge_ends, config.max_bbst_depth);
+    let costs: Vec<f64> = star.candidates.iter().map(|&u| cost(u)).collect();
+    let solution = weighted_set_cover(&star.sets, &costs);
+    star.solution(solution.selected, solution.covered, bridge_ends)
 }
 
 #[cfg(test)]

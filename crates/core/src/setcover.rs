@@ -4,6 +4,13 @@
 //! Theorem 2/3 of the paper reduce LCRB-D to set cover: greedy gives
 //! the optimal-up-to-constants `O(ln n)` factor, and no polynomial
 //! algorithm does asymptotically better unless P = NP (Feige).
+//!
+//! Both cover loops run over [`BitSets`]: one packed `u64` row per
+//! set, so a set's gain is `popcount(row & !covered)` — a few words
+//! per candidate instead of a walk over its element list — and a
+//! repeated element can never count twice. SCBG hands its star sets
+//! over in this form directly; the `Vec<u32>` entry points pack their
+//! input first.
 
 // xtask-allow-file: index -- element and set ids are dense indices assigned by this module's own builder over one arena
 use std::cmp::Reverse;
@@ -23,15 +30,118 @@ pub struct SetCoverSolution {
     pub cost: f64,
 }
 
+/// A family of sets over the universe `0..universe()`, stored as one
+/// packed row of `⌈universe / 64⌉` words per set: element `e` of a set
+/// is bit `e % 64` of word `e / 64` of its row. Memory is
+/// `len() · ⌈universe / 64⌉` words.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BitSets {
+    universe: usize,
+    len: usize,
+    words: Vec<u64>,
+}
+
+impl BitSets {
+    /// Packs element lists into rows; repeated elements collapse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a set contains an element `>= universe`.
+    pub(crate) fn from_sets(universe: usize, sets: &[Vec<u32>]) -> Self {
+        let width = universe.div_ceil(64);
+        let mut words = vec![0u64; sets.len() * width];
+        for (i, s) in sets.iter().enumerate() {
+            for &e in s {
+                assert!(
+                    (e as usize) < universe,
+                    "set {i} contains element {e} outside universe of size {universe}"
+                );
+                words[i * width + e as usize / 64] |= 1 << (e % 64);
+            }
+        }
+        BitSets {
+            universe,
+            len: sets.len(),
+            words,
+        }
+    }
+
+    /// Wraps `len` rows of `⌈universe / 64⌉` words each, laid out
+    /// back to back; bits at or above `universe` must be clear.
+    pub(crate) fn from_rows(universe: usize, len: usize, words: Vec<u64>) -> Self {
+        debug_assert_eq!(words.len(), len * universe.div_ceil(64));
+        BitSets {
+            universe,
+            len,
+            words,
+        }
+    }
+
+    /// Number of sets.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the family has no sets.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Size of the universe the sets draw from.
+    #[must_use]
+    pub fn universe(&self) -> usize {
+        self.universe
+    }
+
+    /// The packed row of set `i`.
+    fn row(&self, i: usize) -> &[u64] {
+        assert!(i < self.len, "set {i} out of range for {} sets", self.len);
+        let width = self.universe.div_ceil(64);
+        &self.words[i * width..(i + 1) * width]
+    }
+
+    /// The elements of set `i`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn elements(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        self.row(i).iter().enumerate().flat_map(|(k, &word)| {
+            (0..64u32)
+                .filter(move |b| (word >> b) & 1 == 1)
+                .map(move |b| k as u32 * 64 + b)
+        })
+    }
+
+    /// Number of elements of set `i` not yet in `covered`.
+    fn gain(&self, i: usize, covered: &[u64]) -> usize {
+        self.row(i)
+            .iter()
+            .zip(covered)
+            .map(|(&r, &c)| (r & !c).count_ones() as usize)
+            .sum()
+    }
+
+    /// Adds set `i` to `covered`.
+    fn cover(&self, i: usize, covered: &mut [u64]) {
+        for (c, &r) in covered.iter_mut().zip(self.row(i)) {
+            *c |= r;
+        }
+    }
+}
+
 /// Classic greedy set cover: repeatedly pick the set covering the
 /// most uncovered elements, until the universe is covered or no set
 /// adds coverage.
 ///
 /// Elements are integers in `0..universe_size`; `sets[i]` lists the
-/// elements of set `i` (duplicates tolerated). Implemented with lazy
-/// (CELF-style) evaluation: stale heap entries are re-scored on pop,
-/// which is sound because coverage gain only shrinks as elements get
-/// covered.
+/// elements of set `i`. A repeated element counts once. Implemented
+/// with lazy (CELF-style) evaluation: stale heap entries are
+/// re-scored on pop, which is sound because coverage gain only
+/// shrinks as elements get covered. Ties go to the smallest set
+/// index.
 ///
 /// If some elements appear in no set, they stay uncovered and
 /// `covered < universe_size` on return.
@@ -52,16 +162,17 @@ pub struct SetCoverSolution {
 /// ```
 #[must_use]
 pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<u32>]) -> SetCoverSolution {
-    let (solution, _) = greedy_set_cover_metered(universe_size, sets, &WorkMeter::unlimited())
+    let sets = BitSets::from_sets(universe_size, sets);
+    let (solution, _) = greedy_set_cover_metered(&sets, &WorkMeter::unlimited())
         // xtask-allow: panic -- an unlimited meter's poll never stops the cover loop
         .expect("unlimited meter cannot stop the cover");
     solution
 }
 
-/// [`greedy_set_cover`] under a [`WorkMeter`]: the meter is polled
-/// before each heap pop, so a deadline stop keeps the selection
-/// prefix built so far (a valid partial cover) while a cancellation
-/// aborts.
+/// [`greedy_set_cover`] over packed rows under a [`WorkMeter`]: the
+/// meter is polled once per pick (before each heap pop), so a
+/// deadline stop keeps the selection prefix built so far (a valid
+/// partial cover) while a cancellation aborts.
 ///
 /// Returns `Some(reason)` alongside the (then partial) solution when
 /// a deadline stopped the loop; work-unit caps do not apply to set
@@ -71,32 +182,20 @@ pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<u32>]) -> SetCoverSolu
 ///
 /// [`StopReason::Cancelled`] when a poll observes cancellation.
 pub(crate) fn greedy_set_cover_metered(
-    universe_size: usize,
-    sets: &[Vec<u32>],
+    sets: &BitSets,
     meter: &WorkMeter,
 ) -> Result<(SetCoverSolution, Option<StopReason>), StopReason> {
-    for (i, s) in sets.iter().enumerate() {
-        for &e in s {
-            assert!(
-                (e as usize) < universe_size,
-                "set {i} contains element {e} outside universe of size {universe_size}"
-            );
-        }
-    }
-    let mut covered = vec![false; universe_size];
+    let universe_size = sets.universe();
+    let mut covered = vec![0u64; universe_size.div_ceil(64)];
     let mut covered_count = 0usize;
     let mut selected = Vec::new();
     let mut stop = None;
 
     // Heap of (gain, set index); gains may be stale and are re-scored
     // on pop.
-    let mut heap: BinaryHeap<(usize, Reverse<usize>)> = sets
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.len(), Reverse(i)))
+    let mut heap: BinaryHeap<(usize, Reverse<usize>)> = (0..sets.len())
+        .map(|i| (sets.gain(i, &covered), Reverse(i)))
         .collect();
-    let fresh_gain =
-        |i: usize, covered: &[bool]| sets[i].iter().filter(|&&e| !covered[e as usize]).count();
 
     while covered_count < universe_size {
         match meter.poll() {
@@ -113,7 +212,7 @@ pub(crate) fn greedy_set_cover_metered(
         if claimed == 0 {
             break;
         }
-        let gain = fresh_gain(i, &covered);
+        let gain = sets.gain(i, &covered);
         if gain < claimed {
             if gain > 0 {
                 heap.push((gain, Reverse(i)));
@@ -121,12 +220,8 @@ pub(crate) fn greedy_set_cover_metered(
             continue;
         }
         selected.push(i);
-        for &e in &sets[i] {
-            if !covered[e as usize] {
-                covered[e as usize] = true;
-                covered_count += 1;
-            }
-        }
+        sets.cover(i, &mut covered);
+        covered_count += gain;
     }
     Ok((
         SetCoverSolution {
@@ -139,7 +234,8 @@ pub(crate) fn greedy_set_cover_metered(
 }
 
 /// Weighted greedy set cover: repeatedly pick the set minimizing
-/// `cost / newly covered elements`. Provided as an extension for
+/// `cost / newly covered elements` (ties to the smallest set index).
+/// A repeated element counts once. Provided as an extension for
 /// protector-cost variants of LCRB-D.
 ///
 /// # Panics
@@ -153,6 +249,15 @@ pub fn greedy_weighted_set_cover(
     sets: &[Vec<u32>],
     costs: &[f64],
 ) -> SetCoverSolution {
+    weighted_set_cover(&BitSets::from_sets(universe_size, sets), costs)
+}
+
+/// [`greedy_weighted_set_cover`] over packed rows.
+///
+/// # Panics
+///
+/// Same cost conditions as [`greedy_weighted_set_cover`].
+pub(crate) fn weighted_set_cover(sets: &BitSets, costs: &[f64]) -> SetCoverSolution {
     assert_eq!(sets.len(), costs.len(), "one cost per set required");
     for (i, &c) in costs.iter().enumerate() {
         assert!(
@@ -160,42 +265,31 @@ pub fn greedy_weighted_set_cover(
             "cost of set {i} must be positive and finite, got {c}"
         );
     }
-    for (i, s) in sets.iter().enumerate() {
-        for &e in s {
-            assert!(
-                (e as usize) < universe_size,
-                "set {i} contains element {e} outside universe of size {universe_size}"
-            );
-        }
-    }
-    let mut covered = vec![false; universe_size];
+    let universe_size = sets.universe();
+    let mut covered = vec![0u64; universe_size.div_ceil(64)];
     let mut covered_count = 0usize;
     let mut selected = Vec::new();
     let mut total_cost = 0.0;
     let mut active: Vec<usize> = (0..sets.len()).collect();
 
     while covered_count < universe_size {
-        let mut best: Option<(f64, usize)> = None;
+        let mut best: Option<(f64, usize, usize)> = None;
         active.retain(|&i| {
-            let gain = sets[i].iter().filter(|&&e| !covered[e as usize]).count();
+            let gain = sets.gain(i, &covered);
             if gain == 0 {
                 return false;
             }
             let ratio = costs[i] / gain as f64;
-            if best.is_none_or(|(b, _)| ratio < b) {
-                best = Some((ratio, i));
+            if best.is_none_or(|(b, _, _)| ratio < b) {
+                best = Some((ratio, i, gain));
             }
             true
         });
-        let Some((_, i)) = best else { break };
+        let Some((_, i, gain)) = best else { break };
         selected.push(i);
         total_cost += costs[i];
-        for &e in &sets[i] {
-            if !covered[e as usize] {
-                covered[e as usize] = true;
-                covered_count += 1;
-            }
-        }
+        sets.cover(i, &mut covered);
+        covered_count += gain;
     }
     SetCoverSolution {
         selected,
@@ -260,6 +354,20 @@ mod tests {
         let sets = vec![vec![0, 0, 1, 1]];
         let sol = greedy_set_cover(2, &sets);
         assert_eq!(sol.covered, 2);
+    }
+
+    #[test]
+    fn duplicate_elements_do_not_inflate_gains() {
+        // Five copies of element 0 are one element: the two disjoint
+        // pairs cover the universe without the padded singleton.
+        let sets = vec![vec![0, 0, 0, 0, 0], vec![0, 1], vec![2, 3]];
+        let sol = greedy_set_cover(4, &sets);
+        assert_eq!(sol.selected, vec![1, 2]);
+        assert_eq!(sol.covered, 4);
+        let sol = greedy_weighted_set_cover(4, &sets, &[1.0; 3]);
+        assert_eq!(sol.selected, vec![1, 2]);
+        assert_eq!(sol.covered, 4);
+        assert_eq!(sol.cost, 2.0);
     }
 
     #[test]

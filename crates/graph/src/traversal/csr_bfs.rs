@@ -1,7 +1,7 @@
 //! Reusable BFS scratch space over [`CsrGraph`] snapshots.
 //!
-//! SCBG builds one backward search tree per bridge end and the
-//! coverage-mode heuristics re-relax distances once per added
+//! The candidate pools run backward searches from the bridge ends and
+//! the coverage-mode heuristics re-relax distances once per added
 //! protector; allocating fresh distance and queue buffers for each of
 //! those traversals dominates their runtime on small graphs. A
 //! [`CsrBfsScratch`] is allocated once and reused: distance validity is
