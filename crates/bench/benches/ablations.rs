@@ -8,8 +8,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use lcrb::{
-    find_bridge_ends, greedy_with_budget, scbg, BridgeEndRule, CandidatePool, GreedyConfig,
-    RumorBlockingInstance, ScbgConfig,
+    find_bridge_ends, scbg, BridgeEndRule, CandidatePool, RumorBlockingInstance, ScbgConfig,
+    SolveRequest, Solver,
 };
 use lcrb_datasets::{hep_like, DatasetConfig};
 use lcrb_diffusion::{doam_analytic, DoamModel};
@@ -27,19 +27,25 @@ fn instance(scale: f64, rumors: usize) -> RumorBlockingInstance {
     .unwrap()
 }
 
+/// A cold budget-mode greedy solve: a fresh session per call, so no
+/// cached artifact carries over between iterations.
+fn cold_greedy(inst: &RumorBlockingInstance, req: &SolveRequest) {
+    Solver::new(inst.clone()).solve(req).unwrap();
+}
+
 fn bench_celf_vs_plain(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/celf");
     group.sample_size(10);
     let inst = instance(0.04, 3);
     for (label, lazy) in [("celf", true), ("plain", false)] {
         group.bench_with_input(BenchmarkId::new(label, "budget3"), &lazy, |b, &lazy| {
-            let cfg = GreedyConfig {
+            let req = SolveRequest {
                 realizations: 8,
                 lazy,
                 candidates: CandidatePool::BackwardRadius(1),
-                ..GreedyConfig::default()
+                ..SolveRequest::greedy_budget(3)
             };
-            b.iter(|| greedy_with_budget(&inst, 3, &cfg).unwrap());
+            b.iter(|| cold_greedy(&inst, &req));
         });
     }
     group.finish();
@@ -85,12 +91,12 @@ fn bench_candidate_pools(c: &mut Criterion) {
         ("bbst_union", CandidatePool::BbstUnion),
     ] {
         group.bench_with_input(BenchmarkId::new(label, "budget2"), &pool, |b, &pool| {
-            let cfg = GreedyConfig {
+            let req = SolveRequest {
                 realizations: 8,
                 candidates: pool,
-                ..GreedyConfig::default()
+                ..SolveRequest::greedy_budget(2)
             };
-            b.iter(|| greedy_with_budget(&inst, 2, &cfg).unwrap());
+            b.iter(|| cold_greedy(&inst, &req));
         });
     }
     group.finish();

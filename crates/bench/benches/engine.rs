@@ -1,21 +1,13 @@
-//! The `engine` group: DiGraph-path vs CSR+workspace kernel, head to
-//! head on the two hot loops of the solvers — a Monte-Carlo batch of
-//! OPOAO runs (the σ̂ estimator's workload) and a sweep of DOAM
-//! analytic-oracle evaluations (SCBG / coverage-mode workload). The
-//! legacy arm pays the per-run snapshot + scratch allocations the old
-//! `run(&DiGraph, ..)` entry points made; the engine arm freezes one
-//! `CsrGraph` and reuses one workspace/scratch pair. The observed
-//! ratio is recorded in EXPERIMENTS.md.
+//! The `engine` group: the CSR+workspace kernel on the two hot loops
+//! of the solvers — a Monte-Carlo batch of OPOAO runs (the σ̂
+//! estimator's workload) and a sweep of DOAM analytic-oracle
+//! evaluations (SCBG / coverage-mode workload). Each arm freezes one
+//! `CsrGraph` and reuses one workspace/scratch pair.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use lcrb_datasets::{hep_like, DatasetConfig};
-use lcrb_diffusion::{
-    doam_analytic, doam_analytic_csr, monte_carlo_csr, MonteCarloConfig, OpoaoModel, SeedSets,
-    TwoCascadeModel,
-};
+use lcrb_diffusion::{doam_analytic_csr, monte_carlo_csr, MonteCarloConfig, OpoaoModel, SeedSets};
 use lcrb_graph::traversal::CsrBfsScratch;
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
 
@@ -36,20 +28,7 @@ fn bench_opoao_mc_batch(c: &mut Criterion) {
     let n = g.node_count();
     let model = OpoaoModel::default();
 
-    // Legacy path: every run re-freezes the snapshot and allocates a
-    // fresh workspace, exactly what `run(&DiGraph, ..)` per run costs.
-    group.bench_with_input(BenchmarkId::new("digraph_per_run", n), &(), |b, ()| {
-        let mut rng = SmallRng::seed_from_u64(7);
-        b.iter(|| {
-            let mut last = 0usize;
-            for _ in 0..MC_RUNS {
-                last = model.run(&g, &seeds, &mut rng).infected_count();
-            }
-            black_box(last)
-        });
-    });
-
-    // Engine path: one snapshot, one long-lived workspace per thread.
+    // One snapshot, one long-lived workspace per thread.
     group.bench_with_input(BenchmarkId::new("csr_workspace", n), &(), |b, ()| {
         let csr = CsrGraph::from(&g);
         let cfg = MonteCarloConfig {
@@ -72,16 +51,6 @@ fn bench_doam_oracle_sweep(c: &mut Criterion) {
     let candidate_sets: Vec<SeedSets> = (200..232)
         .map(|p| SeedSets::new(&g, seeds.rumors().to_vec(), vec![NodeId::new(p)]).unwrap())
         .collect();
-
-    group.bench_with_input(BenchmarkId::new("digraph_per_call", n), &(), |b, ()| {
-        b.iter(|| {
-            let mut infected = 0usize;
-            for s in &candidate_sets {
-                infected += doam_analytic(&g, s).infected_count();
-            }
-            black_box(infected)
-        });
-    });
 
     group.bench_with_input(BenchmarkId::new("csr_scratch", n), &(), |b, ()| {
         let csr = CsrGraph::from(&g);

@@ -9,8 +9,8 @@ use rand::SeedableRng;
 
 use lcrb::setcover::greedy_set_cover;
 use lcrb::{
-    find_bridge_ends, greedy_with_budget, protectors_to_cover_all, scbg, BridgeEndRule,
-    CandidatePool, GreedyConfig, MaxDegreeSelector, RumorBlockingInstance, ScbgConfig,
+    find_bridge_ends, max_degree_ordering, protectors_to_cover_all, scbg, BridgeEndRule,
+    CandidatePool, RumorBlockingInstance, ScbgConfig, SolveRequest, Solver,
 };
 use lcrb_datasets::{enron_like, hep_like, DatasetConfig};
 
@@ -70,7 +70,7 @@ fn bench_scbg_table1(c: &mut Criterion) {
             BenchmarkId::new("max_degree_coverage", label),
             inst,
             |b, inst| {
-                let ordering = MaxDegreeSelector.ordering(inst);
+                let ordering = max_degree_ordering(inst);
                 b.iter(|| protectors_to_cover_all(inst, BridgeEndRule::WithinCommunity, &ordering));
             },
         );
@@ -80,7 +80,8 @@ fn bench_scbg_table1(c: &mut Criterion) {
 
 fn bench_greedy_figures(c: &mut Criterion) {
     // The Figs 4–6 inner step: budget-mode greedy under OPOAO at a
-    // reduced scale (the paper itself calls the greedy expensive).
+    // reduced scale (the paper itself calls the greedy expensive). A
+    // fresh session per iteration keeps every solve cold.
     let mut group = c.benchmark_group("lcrb/greedy_opoao");
     group.sample_size(10);
     let inst = hep_instance(0.05, 4);
@@ -89,12 +90,12 @@ fn bench_greedy_figures(c: &mut Criterion) {
             BenchmarkId::new("budget4_backward1", realizations),
             &realizations,
             |b, &realizations| {
-                let cfg = GreedyConfig {
+                let req = SolveRequest {
                     realizations,
                     candidates: CandidatePool::BackwardRadius(1),
-                    ..GreedyConfig::default()
+                    ..SolveRequest::greedy_budget(4)
                 };
-                b.iter(|| greedy_with_budget(&inst, 4, &cfg).unwrap());
+                b.iter(|| Solver::new(inst.clone()).solve(&req).unwrap());
             },
         );
     }

@@ -13,8 +13,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use lcrb::{
-    find_bridge_ends, greedy_with_budget, BridgeEndRule, CandidatePool, CoverageScratch, Estimator,
-    GreedyConfig, ProtectionObjective, RumorBlockingInstance, SketchObjective, SketchParams,
+    find_bridge_ends, BridgeEndRule, CandidatePool, CoverageScratch, Estimator,
+    ProtectionObjective, RumorBlockingInstance, SketchObjective, SketchParams, SolveRequest,
+    Solver, SolverConfig,
 };
 use lcrb_datasets::{hep_like, DatasetConfig};
 use lcrb_diffusion::{SimWorkspace, PAPER_OPOAO_HOPS};
@@ -37,14 +38,19 @@ fn fixture() -> RumorBlockingInstance {
 
 const BUDGET: usize = 4;
 
-fn greedy_config(estimator: Estimator) -> GreedyConfig {
-    GreedyConfig {
+/// One cold budgeted greedy solve: a fresh session per call, so the
+/// sketch sample and CELF state are rebuilt every iteration.
+fn cold_greedy(inst: &RumorBlockingInstance, estimator: Estimator) -> Vec<NodeId> {
+    let req = SolveRequest {
         realizations: 16,
         candidates: CandidatePool::BackwardRadius(2),
-        master_seed: 9,
         estimator,
-        ..GreedyConfig::default()
-    }
+        ..SolveRequest::greedy_budget(BUDGET)
+    };
+    Solver::with_config(inst.clone(), SolverConfig { master_seed: 9 })
+        .solve(&req)
+        .unwrap()
+        .protectors
 }
 
 /// End-to-end budgeted greedy: initial gain sweep over the candidate
@@ -56,13 +62,12 @@ fn bench_greedy_end_to_end(c: &mut Criterion) {
     group.sample_size(2);
 
     group.bench_with_input(BenchmarkId::new("mc", n), &(), |b, ()| {
-        let cfg = greedy_config(Estimator::MonteCarlo);
-        b.iter(|| black_box(greedy_with_budget(&inst, BUDGET, &cfg).unwrap().protectors));
+        b.iter(|| black_box(cold_greedy(&inst, Estimator::MonteCarlo)));
     });
 
     group.bench_with_input(BenchmarkId::new("sketch", n), &(), |b, ()| {
-        let cfg = greedy_config(Estimator::Sketch(SketchParams::default()));
-        b.iter(|| black_box(greedy_with_budget(&inst, BUDGET, &cfg).unwrap().protectors));
+        let sketch = Estimator::Sketch(SketchParams::default());
+        b.iter(|| black_box(cold_greedy(&inst, sketch)));
     });
     group.finish();
 }

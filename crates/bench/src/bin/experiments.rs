@@ -64,6 +64,16 @@ fn usage() -> &'static str {
      [--epsilon E] [--delta D]"
 }
 
+/// Parses a count flag's value, rejecting zero: no experiment can run
+/// zero simulations, trials, or realizations.
+fn positive_count(name: &str, raw: &str) -> Result<usize, String> {
+    match raw.parse() {
+        Ok(0) => Err(format!("{name} must be at least 1, got 0")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("bad {name}: {e}")),
+    }
+}
+
 fn parse_options(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut it = args.iter();
@@ -83,25 +93,15 @@ fn parse_options(args: &[String]) -> Result<CliOptions, String> {
                 }
                 opts.scale = Some(v);
             }
-            "--runs" => {
-                opts.runs = value("--runs")?
-                    .parse()
-                    .map_err(|e| format!("bad --runs: {e}"))?;
-            }
+            "--runs" => opts.runs = positive_count("--runs", &value("--runs")?)?,
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
-            "--trials" => {
-                opts.trials = value("--trials")?
-                    .parse()
-                    .map_err(|e| format!("bad --trials: {e}"))?;
-            }
+            "--trials" => opts.trials = positive_count("--trials", &value("--trials")?)?,
             "--realizations" => {
-                opts.realizations = value("--realizations")?
-                    .parse()
-                    .map_err(|e| format!("bad --realizations: {e}"))?;
+                opts.realizations = positive_count("--realizations", &value("--realizations")?)?;
             }
             "--out" => opts.out = value("--out")?,
             "--full-greedy" => opts.full_greedy = true,
@@ -317,5 +317,41 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<CliOptions, String> {
+        let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+        parse_options(&args)
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for flag in ["--runs", "--trials", "--realizations"] {
+            let err = parse(&[flag, "0"]).err().expect("zero must be rejected");
+            assert_eq!(err, format!("{flag} must be at least 1, got 0"));
+        }
+    }
+
+    #[test]
+    fn positive_counts_parse() {
+        let opts = parse(&["--runs", "4", "--trials", "2", "--realizations", "8"]).unwrap();
+        assert_eq!((opts.runs, opts.trials, opts.realizations), (4, 2, 8));
+    }
+
+    #[test]
+    fn non_numeric_count_is_a_usage_error() {
+        let err = parse(&["--runs", "many"]).err().expect("must be rejected");
+        assert!(err.starts_with("bad --runs: "), "{err}");
+    }
+
+    #[test]
+    fn missing_value_is_a_usage_error() {
+        let err = parse(&["--trials"]).err().expect("must be rejected");
+        assert_eq!(err, "missing value for --trials");
     }
 }

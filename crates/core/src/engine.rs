@@ -2,10 +2,11 @@
 //! algorithm, with epoch-keyed artifact caching shared across
 //! threads.
 //!
-//! The free functions ([`crate::greedy_lcrb_p`], [`crate::scbg`], the
-//! heuristic selectors) rebuild every expensive artifact per call:
-//! the bridge-end set, the RR-sketch sample, the CELF priority state,
-//! degree/PageRank orderings. A [`Solver`] owns the
+//! Every selection — the LCRB-P greedy, SCBG, GVS, and the heuristic
+//! baselines — is a [`SolveRequest`] naming an [`Algorithm`]. Their
+//! kernels rebuild every expensive artifact per call: the bridge-end
+//! set, the RR-sketch sample, the CELF priority state, degree/PageRank
+//! orderings. A [`Solver`] owns the
 //! [`RumorBlockingInstance`] plus an [`ArtifactCache`] and reuses
 //! those artifacts across queries, so a budget sweep or an α sweep
 //! pays the construction cost once.
@@ -95,25 +96,22 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use lcrb_diffusion::{
-    CancelToken, MonteCarloConfig, RunBudget, ScratchPool, StopReason, TwoCascadeModel, WorkMeter,
-};
+use lcrb_diffusion::{CancelToken, RunBudget, ScratchPool, StopReason, WorkMeter};
 use lcrb_graph::NodeId;
 
-use crate::evaluate::{evaluate_protector_sets, HopSeriesReport};
 use crate::greedy::{
-    advance_trajectory, candidate_pool_for, normalized_model, selection_from_trajectory,
+    advance_trajectory, candidate_pool, normalized_model, selection_from_trajectory,
     GreedyTrajectory, SigmaBackend, SigmaScratch,
 };
 use crate::gvs::greedy_viral_stopper_metered;
+use crate::heuristics::pagerank_ordering;
 use crate::scbg::scbg_metered;
 use crate::sketch_objective::mix;
 use crate::{
-    find_bridge_ends, greedy_viral_stopper, scbg, BridgeEndRule, BridgeEnds, CandidatePool,
-    Estimator, GreedyConfig, GreedySelection, GvsConfig, GvsSelection, LcrbError,
-    MaxDegreeSelector, ObjectiveModel, PageRankSelector, ProtectionObjective, ProtectorSelector,
-    ProximitySelector, RumorBlockingInstance, ScbgConfig, ScbgSolution, SketchIndex,
-    SketchObjective,
+    find_bridge_ends, greedy_viral_stopper, max_degree_ordering, proximity_pool, scbg,
+    BridgeEndRule, BridgeEnds, CandidatePool, Estimator, GreedySelection, GvsConfig, GvsSelection,
+    LcrbError, ObjectiveModel, ProtectionObjective, RumorBlockingInstance, ScbgConfig,
+    ScbgSolution, SketchIndex, SketchObjective,
 };
 
 /// Which selection algorithm a [`SolveRequest`] runs.
@@ -141,8 +139,7 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// The canonical display name (matches the paper-figure labels
-    /// and the legacy [`ProtectorSelector::name`] strings).
+    /// The canonical display name (matches the paper-figure labels).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -191,9 +188,12 @@ pub struct SolveRequest {
     pub max_hops: u32,
     /// Candidate pool for greedy and GVS.
     pub candidates: CandidatePool,
-    /// CELF lazy evaluation (greedy only).
+    /// CELF lazy evaluation (greedy only); `false` re-scores every
+    /// candidate every round — the plain Algorithm 1, kept as the
+    /// reference CELF is tested against and for the ablation bench.
     pub lazy: bool,
-    /// Worker threads for the greedy's initial gain sweep.
+    /// Worker threads for the greedy's initial gain sweep (0 = one
+    /// per available core).
     pub threads: usize,
     /// Hard protector cap for α-mode greedy solves.
     pub max_protectors: usize,
@@ -214,19 +214,18 @@ pub struct SolveRequest {
 
 impl SolveRequest {
     fn base(algorithm: Algorithm, stop: StopRule) -> Self {
-        let defaults = GreedyConfig::default();
         SolveRequest {
             algorithm,
             stop,
-            estimator: defaults.estimator,
-            rule: defaults.rule,
-            model: defaults.model,
-            realizations: defaults.realizations,
-            max_hops: defaults.max_hops,
-            candidates: defaults.candidates,
-            lazy: defaults.lazy,
-            threads: defaults.threads,
-            max_protectors: defaults.max_protectors,
+            estimator: Estimator::MonteCarlo,
+            rule: BridgeEndRule::WithinCommunity,
+            model: ObjectiveModel::default(),
+            realizations: 64,
+            max_hops: lcrb_diffusion::PAPER_OPOAO_HOPS,
+            candidates: CandidatePool::BbstUnion,
+            lazy: true,
+            threads: 0,
+            max_protectors: usize::MAX,
             mc_runs: 16,
             pagerank_damping: 0.85,
             max_bbst_depth: None,
@@ -391,27 +390,6 @@ impl SolveRequest {
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
         self
-    }
-
-    /// The equivalent legacy [`GreedyConfig`] (α is a placeholder in
-    /// budget mode; the engine passes the target separately).
-    fn greedy_config(&self, master_seed: u64) -> GreedyConfig {
-        GreedyConfig {
-            alpha: match self.stop {
-                StopRule::Alpha(a) => a,
-                StopRule::Budget(_) => 1.0,
-            },
-            realizations: self.realizations,
-            master_seed,
-            max_hops: self.max_hops,
-            model: self.model,
-            max_protectors: self.max_protectors,
-            candidates: self.candidates,
-            lazy: self.lazy,
-            rule: self.rule,
-            threads: self.threads,
-            estimator: self.estimator,
-        }
     }
 }
 
@@ -676,75 +654,6 @@ pub struct SolverConfig {
     /// Master seed every derived randomness stream mixes from
     /// (realization batches, sketch sampling, heuristic shuffles).
     pub master_seed: u64,
-}
-
-/// A unified selection strategy a [`Solver`] can run — implemented by
-/// [`SolveRequest`] (the native path) and by [`Budgeted`] (the
-/// adapter over legacy [`ProtectorSelector`]s).
-pub trait Selector {
-    /// Display name for reports and figures.
-    fn name(&self) -> String;
-    /// Runs the strategy against the solver (using its cache and
-    /// derived randomness streams).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`LcrbError`] from the underlying algorithm.
-    fn select(&self, solver: &Solver) -> Result<SolveReport, LcrbError>;
-}
-
-impl Selector for SolveRequest {
-    fn name(&self) -> String {
-        self.algorithm.name().to_owned()
-    }
-
-    fn select(&self, solver: &Solver) -> Result<SolveReport, LcrbError> {
-        solver.solve(self)
-    }
-}
-
-/// Adapter running a legacy [`ProtectorSelector`] at a fixed budget
-/// through the [`Selector`] interface (randomness comes from the
-/// solver's derived stream for the selector's name and budget).
-#[derive(Clone, Copy)]
-pub struct Budgeted<'a> {
-    /// The legacy selector to run.
-    pub selector: &'a dyn ProtectorSelector,
-    /// How many protectors it may pick.
-    pub budget: usize,
-}
-
-impl std::fmt::Debug for Budgeted<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Budgeted")
-            .field("selector", &self.selector.name())
-            .field("budget", &self.budget)
-            .finish()
-    }
-}
-
-impl Selector for Budgeted<'_> {
-    fn name(&self) -> String {
-        self.selector.name().to_owned()
-    }
-
-    fn select(&self, solver: &Solver) -> Result<SolveReport, LcrbError> {
-        let mut clock = StageClock::start();
-        let mut rng = solver.named_rng(self.selector.name(), self.budget);
-        let protectors = self
-            .selector
-            .select(&solver.instance, self.budget, &mut rng);
-        clock.lap("select");
-        Ok(SolveReport {
-            algorithm: self.selector.name().to_owned(),
-            protectors,
-            epoch: solver.epoch,
-            stages: clock.stages,
-            cache_snapshot: solver.cache.stats(),
-            completion: Completion::Exact,
-            detail: SolveDetail::Heuristic,
-        })
-    }
 }
 
 /// A clock read for stage timings. Observability metadata only: the
@@ -1555,36 +1464,6 @@ impl Solver {
         SmallRng::seed_from_u64(mix(s, budget as u64))
     }
 
-    /// Runs one [`Selector`] (a [`SolveRequest`] or a [`Budgeted`]
-    /// legacy adapter) against this session.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`LcrbError`] from the strategy.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcrb::engine::{Budgeted, Solver};
-    /// use lcrb::{RandomSelector, RumorBlockingInstance};
-    /// use lcrb_community::Partition;
-    /// use lcrb_graph::{DiGraph, NodeId};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-    /// let p = Partition::from_labels(vec![0, 0, 1, 1]);
-    /// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
-    /// let solver = Solver::new(inst);
-    /// let adapter = Budgeted { selector: &RandomSelector, budget: 2 };
-    /// let report = solver.run(&adapter)?;
-    /// assert_eq!(report.algorithm, "random");
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn run(&self, selector: &dyn Selector) -> Result<SolveReport, LcrbError> {
-        selector.select(self)
-    }
-
     /// Answers one [`SolveRequest`], reusing every cached artifact
     /// the request's key matches. Takes `&self`: solves may run
     /// concurrently from many threads against one session.
@@ -1827,64 +1706,11 @@ impl Solver {
         indexed.into_iter().map(|(_, report)| report).collect()
     }
 
-    /// Runs several selectors and Monte-Carlo evaluates their
-    /// selections under `model`, collecting the hop-series report
-    /// the paper's figures are built from
-    /// ([`crate::evaluate::HopSeriesReport`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`LcrbError`] from a selector or the
-    /// evaluation.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcrb::engine::{Selector, Solver, SolveRequest};
-    /// use lcrb::RumorBlockingInstance;
-    /// use lcrb_community::Partition;
-    /// use lcrb_diffusion::{MonteCarloConfig, OpoaoModel};
-    /// use lcrb_graph::{DiGraph, NodeId};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-    /// let p = Partition::from_labels(vec![0, 0, 1, 1]);
-    /// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
-    /// let solver = Solver::new(inst);
-    /// let greedy = SolveRequest::greedy_budget(1);
-    /// let selectors: [&dyn Selector; 1] = [&greedy];
-    /// let report = solver.compare(
-    ///     &OpoaoModel::new(8),
-    ///     &selectors,
-    ///     &MonteCarloConfig { runs: 2, ..Default::default() },
-    /// )?;
-    /// assert_eq!(report.runs.len(), 1);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn compare<M>(
-        &self,
-        model: &M,
-        selectors: &[&dyn Selector],
-        mc: &MonteCarloConfig,
-    ) -> Result<HopSeriesReport, LcrbError>
-    where
-        M: TwoCascadeModel + Sync,
-    {
-        let mut sets = Vec::with_capacity(selectors.len());
-        for s in selectors {
-            let report = s.select(self)?;
-            sets.push((report.algorithm, report.protectors));
-        }
-        evaluate_protector_sets(&self.instance, model, &sets, mc)
-    }
-
     fn solve_greedy(
         &self,
         request: &SolveRequest,
         meter: &mut WorkMeter,
     ) -> Result<SolveReport, LcrbError> {
-        let config = request.greedy_config(self.master_seed);
         let (target_alpha, budget) = match request.stop {
             StopRule::Alpha(a) => {
                 if a.is_nan() || a <= 0.0 || a > 1.0 {
@@ -1894,7 +1720,7 @@ impl Solver {
             }
             StopRule::Budget(k) => (None, Some(k)),
         };
-        if let Estimator::Sketch(params) = config.estimator {
+        if let Estimator::Sketch(params) = request.estimator {
             params.validate()?;
         }
         let mut clock = StageClock::start();
@@ -1903,21 +1729,21 @@ impl Solver {
         let bridge = self
             .cache
             .bridge
-            .get_or_build(rule_tag(config.rule), epoch, || {
-                Arc::new(find_bridge_ends(&self.instance, config.rule))
+            .get_or_build(rule_tag(request.rule), epoch, || {
+                Arc::new(find_bridge_ends(&self.instance, request.rule))
             });
         clock.lap("bridge");
 
-        let model = normalized_model(&config);
+        let model = normalized_model(request.model, request.max_hops);
         // `(generated, scheduled)` when a sketch cap truncated the
         // sample below its accuracy schedule.
         let mut sketch_truncation: Option<(u64, u64)> = None;
-        let backend = match config.estimator {
+        let backend = match request.estimator {
             Estimator::MonteCarlo => SigmaBackend::Mc(ProtectionObjective::with_model(
                 &self.instance,
                 bridge.nodes.clone(),
                 model,
-                config.realizations,
+                request.realizations,
                 self.master_seed,
             )?),
             Estimator::Sketch(params) => {
@@ -1934,13 +1760,13 @@ impl Solver {
                         bridge.nodes.clone(),
                         params,
                         self.master_seed,
-                        config.max_hops,
+                        request.max_hops,
                         meter,
                     )?)
                 } else {
                     let key = SketchKey {
-                        rule: rule_tag(config.rule),
-                        max_hops: config.max_hops,
+                        rule: rule_tag(request.rule),
+                        max_hops: request.max_hops,
                         epsilon_bits: params.epsilon.to_bits(),
                         delta_bits: params.delta.to_bits(),
                         min_sketches: params.min_sketches,
@@ -1957,7 +1783,7 @@ impl Solver {
                             bridge.nodes.clone(),
                             params,
                             self.master_seed,
-                            config.max_hops,
+                            request.max_hops,
                             meter,
                         )
                         .map(Arc::new)
@@ -1976,16 +1802,16 @@ impl Solver {
             None => f64::INFINITY,
         };
         let cap = match budget {
-            Some(k) => k.min(config.max_protectors),
-            None => config.max_protectors,
+            Some(k) => k.min(request.max_protectors),
+            None => request.max_protectors,
         };
 
         let celf_key = CelfKey {
-            rule: rule_tag(config.rule),
-            estimator: estimator_key(&config.estimator, config.realizations),
+            rule: rule_tag(request.rule),
+            estimator: estimator_key(&request.estimator, request.realizations),
             model: model_key(&model),
-            candidates: candidates_key(config.candidates),
-            lazy: config.lazy,
+            candidates: candidates_key(request.candidates),
+            lazy: request.lazy,
         };
         // A sketch-capped request ran on a privately built (possibly
         // truncated) index, so its trajectory is not comparable to the
@@ -2001,11 +1827,7 @@ impl Solver {
             (cached, Some(lease))
         };
         let mut traj = cached.unwrap_or_else(|| {
-            GreedyTrajectory::new(candidate_pool_for(
-                &self.instance,
-                &bridge,
-                config.candidates,
-            ))
+            GreedyTrajectory::new(candidate_pool(&self.instance, &bridge, request.candidates))
         });
         let evals_before = traj.evaluations();
         // Injectable failure while the lease holds the trajectory: the
@@ -2023,8 +1845,8 @@ impl Solver {
             &mut traj,
             target,
             cap,
-            config.lazy,
-            config.threads,
+            request.lazy,
+            request.threads,
             &self.scratch,
             meter,
         )?;
@@ -2134,8 +1956,7 @@ impl Solver {
             });
         };
         let mut clock = StageClock::start();
-        let config = request.greedy_config(self.master_seed);
-        let model = normalized_model(&config);
+        let model = normalized_model(request.model, request.max_hops);
         let epoch = self.epoch;
         let gvs_config = GvsConfig {
             mc_runs: request.mc_runs,
@@ -2212,7 +2033,7 @@ impl Solver {
                         tag: 0,
                         damping_bits: 0,
                     },
-                    |inst| MaxDegreeSelector.ordering(inst),
+                    max_degree_ordering,
                 );
                 clock.lap("ordering");
                 let mut nodes = ordering.to_vec();
@@ -2230,8 +2051,7 @@ impl Solver {
                     tag: 1,
                     damping_bits: damping.to_bits(),
                 };
-                let ordering =
-                    self.cached_ordering(key, |inst| PageRankSelector::new(damping).ordering(inst));
+                let ordering = self.cached_ordering(key, |inst| pagerank_ordering(inst, damping));
                 clock.lap("ordering");
                 let mut nodes = ordering.to_vec();
                 nodes.truncate(budget);
@@ -2243,7 +2063,7 @@ impl Solver {
                         tag: 2,
                         damping_bits: 0,
                     },
-                    |inst| ProximitySelector.pool(inst),
+                    proximity_pool,
                 );
                 clock.lap("ordering");
                 let mut rng = self.named_rng(Algorithm::Proximity.name(), budget);
@@ -2295,7 +2115,6 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{greedy_lcrb_p, greedy_with_budget, NoBlockingSelector, RandomSelector};
     use lcrb_community::Partition;
     use lcrb_diffusion::OpoaoModel;
     use lcrb_graph::generators;
@@ -2336,15 +2155,43 @@ mod tests {
         assert_send_sync::<SolveReport>();
     }
 
+    /// Algorithm 1 straight from the kernels: a fresh trajectory over
+    /// the default pool, advanced once with no session cache — the
+    /// reference a cold solve must reproduce bitwise.
+    fn kernel_greedy(
+        inst: &RumorBlockingInstance,
+        realizations: usize,
+        max_hops: u32,
+        alpha: Option<f64>,
+        cap: usize,
+    ) -> GreedySelection {
+        let bridge = find_bridge_ends(inst, BridgeEndRule::default());
+        let model = normalized_model(ObjectiveModel::default(), max_hops);
+        let objective =
+            ProtectionObjective::with_model(inst, bridge.nodes.clone(), model, realizations, 0)
+                .unwrap();
+        let target = alpha.map_or(f64::INFINITY, |a| a * bridge.len() as f64);
+        let candidates = candidate_pool(inst, &bridge, CandidatePool::default());
+        let mut traj = GreedyTrajectory::new(candidates);
+        advance_trajectory(
+            &SigmaBackend::Mc(objective),
+            &mut traj,
+            target,
+            cap,
+            true,
+            0,
+            &ScratchPool::new(),
+            &mut WorkMeter::unlimited(),
+        )
+        .unwrap();
+        let evaluations = traj.evaluations();
+        selection_from_trajectory(&traj, target, cap, evaluations, bridge)
+    }
+
     #[test]
-    fn greedy_solve_matches_free_function_cold() {
+    fn greedy_solve_matches_the_kernel_cold() {
         let inst = community_instance(5);
-        let config = GreedyConfig {
-            realizations: 16,
-            max_hops: 20,
-            ..GreedyConfig::default()
-        };
-        let free = greedy_with_budget(&inst, 2, &config).unwrap();
+        let free = kernel_greedy(&inst, 16, 20, None, 2);
         let solver = Solver::new(inst);
         let (report, delta) = charged(&solver, || {
             solver
@@ -2369,15 +2216,9 @@ mod tests {
     }
 
     #[test]
-    fn greedy_alpha_solve_matches_free_function() {
+    fn greedy_alpha_solve_matches_the_kernel() {
         let inst = community_instance(7);
-        let config = GreedyConfig {
-            realizations: 12,
-            alpha: 0.6,
-            max_hops: 15,
-            ..GreedyConfig::default()
-        };
-        let free = greedy_lcrb_p(&inst, &config).unwrap();
+        let free = kernel_greedy(&inst, 12, 15, Some(0.6), usize::MAX);
         let solver = Solver::new(inst);
         let report = solver
             .solve(&SolveRequest {
@@ -2628,14 +2469,26 @@ mod tests {
     }
 
     #[test]
-    fn heuristics_match_legacy_selectors_and_cache_orderings() {
+    fn gvs_rejects_zero_mc_runs() {
+        let solver = Solver::new(community_instance(23));
+        let err = solver
+            .solve(&SolveRequest {
+                mc_runs: 0,
+                ..SolveRequest::gvs(1)
+            })
+            .unwrap_err();
+        assert_eq!(err, LcrbError::NoRealizations);
+    }
+
+    #[test]
+    fn heuristics_match_their_orderings_and_cache_them() {
         let inst = community_instance(25);
         let solver = Solver::new(inst.clone());
-        // Deterministic orderings agree with the legacy selectors.
+        // Deterministic solves are prefixes of the orderings.
         let md = solver
             .solve(&SolveRequest::heuristic(Algorithm::MaxDegree, 3))
             .unwrap();
-        let mut ordering = MaxDegreeSelector.ordering(&inst);
+        let mut ordering = max_degree_ordering(&inst);
         ordering.truncate(3);
         assert_eq!(md.protectors, ordering);
         let (_md_warm, delta) = charged(&solver, || {
@@ -2647,11 +2500,11 @@ mod tests {
         let pr = solver
             .solve(&SolveRequest::heuristic(Algorithm::PageRank, 3))
             .unwrap();
-        let mut pr_ordering = PageRankSelector::default().ordering(&inst);
+        let mut pr_ordering = pagerank_ordering(&inst, 0.85);
         pr_ordering.truncate(3);
         assert_eq!(pr.protectors, pr_ordering);
-        // Proximity picks come from the legacy pool.
-        let pool = ProximitySelector.pool(&inst);
+        // Proximity picks come from the rumor out-neighbor pool.
+        let pool = proximity_pool(&inst);
         let prox = solver
             .solve(&SolveRequest::heuristic(Algorithm::Proximity, 2))
             .unwrap();
@@ -2862,59 +2715,6 @@ mod tests {
         assert_eq!(delta.celf.misses, 1);
         assert_eq!(delta.celf.hits, 5);
         assert_eq!(delta.bridge.misses, 1);
-    }
-
-    #[test]
-    fn budgeted_adapter_wraps_legacy_selectors() {
-        let inst = community_instance(31);
-        let solver = Solver::new(inst);
-        let adapter = Budgeted {
-            selector: &RandomSelector,
-            budget: 3,
-        };
-        assert_eq!(Selector::name(&adapter), "random");
-        let via_adapter = solver.run(&adapter).unwrap();
-        assert_eq!(via_adapter.algorithm, "random");
-        assert_eq!(via_adapter.protectors.len(), 3);
-        assert!(matches!(via_adapter.detail, SolveDetail::Heuristic));
-        // The adapter and the native request share the RNG stream.
-        let native = solver
-            .solve(&SolveRequest::heuristic(Algorithm::Random, 3))
-            .unwrap();
-        assert_eq!(via_adapter.protectors, native.protectors);
-        assert!(format!("{adapter:?}").contains("random"));
-    }
-
-    #[test]
-    fn compare_runs_selectors_through_the_session() {
-        let inst = community_instance(33);
-        let solver = Solver::new(inst);
-        let greedy = SolveRequest {
-            realizations: 8,
-            max_hops: 10,
-            ..SolveRequest::greedy_budget(2)
-        };
-        let scbg_req = SolveRequest::scbg();
-        let none = Budgeted {
-            selector: &NoBlockingSelector,
-            budget: 2,
-        };
-        let selectors: [&dyn Selector; 3] = [&greedy, &scbg_req, &none];
-        let report = solver
-            .compare(
-                &OpoaoModel::new(10),
-                &selectors,
-                &MonteCarloConfig {
-                    runs: 3,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(report.runs.len(), 3);
-        assert_eq!(report.runs[0].name, "greedy");
-        assert_eq!(report.runs[1].name, "scbg");
-        assert_eq!(report.runs[2].name, "no-blocking");
-        assert!(report.runs[2].protectors.is_empty());
     }
 
     #[test]

@@ -39,8 +39,9 @@ pub enum LcrbError {
         /// The rejected value.
         alpha: f64,
     },
-    /// The greedy configuration requested zero Monte-Carlo
-    /// realizations.
+    /// A Monte-Carlo estimate was requested with zero realizations or
+    /// runs (the greedy's `realizations`, GVS's `mc_runs`, an
+    /// evaluation's `runs`).
     NoRealizations,
     /// The sketch estimator's accuracy parameters are out of range.
     InvalidSketchParams {
@@ -94,7 +95,7 @@ impl fmt::Display for LcrbError {
                 write!(f, "protection level alpha {alpha} is not in (0, 1]")
             }
             LcrbError::NoRealizations => {
-                f.write_str("the greedy objective needs at least one realization")
+                f.write_str("a Monte-Carlo estimate needs at least one realization")
             }
             LcrbError::InvalidSketchParams { reason } => {
                 write!(f, "invalid sketch estimator parameters: {reason}")

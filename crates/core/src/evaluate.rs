@@ -90,8 +90,9 @@ impl HopSeriesReport {
 ///
 /// # Errors
 ///
-/// Returns [`LcrbError::Seeds`] if any protector set is invalid for
-/// the instance.
+/// Returns [`LcrbError::NoRealizations`] if `mc.runs == 0`, and
+/// [`LcrbError::Seeds`] if any protector set is invalid for the
+/// instance.
 pub fn evaluate_protector_sets<M>(
     instance: &RumorBlockingInstance,
     model: &M,
@@ -101,6 +102,9 @@ pub fn evaluate_protector_sets<M>(
 where
     M: TwoCascadeModel + Sync,
 {
+    if mc.runs == 0 {
+        return Err(LcrbError::NoRealizations);
+    }
     let mut runs = Vec::with_capacity(sets.len());
     for (name, protectors) in sets {
         let seeds = instance.seed_sets(protectors.clone())?;
@@ -117,8 +121,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Budgeted, Selector, Solver, SolverConfig};
-    use crate::{MaxDegreeSelector, NoBlockingSelector, ProtectorSelector, ProximitySelector};
+    use crate::engine::{Algorithm, SolveRequest, Solver, SolverConfig};
     use lcrb_community::Partition;
     use lcrb_diffusion::{DoamModel, OpoaoModel};
     use lcrb_graph::generators;
@@ -173,13 +176,29 @@ mod tests {
         .is_err());
     }
 
-    /// Runs each selector through a one-shot [`Solver`] session via
-    /// the [`Budgeted`] adapter and evaluates the selections — the
-    /// migration target for the removed `compare_selectors` shim.
+    #[test]
+    fn zero_runs_is_a_typed_error() {
+        let inst = instance();
+        let sets = vec![("empty".to_owned(), vec![])];
+        let err = evaluate_protector_sets(
+            &inst,
+            &DoamModel::default(),
+            &sets,
+            &MonteCarloConfig {
+                runs: 0,
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, LcrbError::NoRealizations);
+    }
+
+    /// Solves each heuristic on one [`Solver`] session and evaluates
+    /// the selections.
     fn run_selectors<M: TwoCascadeModel + Sync>(
         inst: &RumorBlockingInstance,
         model: &M,
-        selectors: &[&dyn ProtectorSelector],
+        algorithms: &[Algorithm],
         budget: usize,
         selection_seed: u64,
         mc: &MonteCarloConfig,
@@ -190,9 +209,11 @@ mod tests {
                 master_seed: selection_seed,
             },
         );
-        let mut sets = Vec::with_capacity(selectors.len());
-        for &selector in selectors {
-            let report = Budgeted { selector, budget }.select(&solver).unwrap();
+        let mut sets = Vec::with_capacity(algorithms.len());
+        for &algorithm in algorithms {
+            let report = solver
+                .solve(&SolveRequest::heuristic(algorithm, budget))
+                .unwrap();
             sets.push((report.algorithm, report.protectors));
         }
         evaluate_protector_sets(inst, model, &sets, mc).unwrap()
@@ -201,12 +222,14 @@ mod tests {
     #[test]
     fn budgeted_session_runs_all_strategies() {
         let inst = instance();
-        let selectors: Vec<&dyn ProtectorSelector> =
-            vec![&NoBlockingSelector, &MaxDegreeSelector, &ProximitySelector];
         let report = run_selectors(
             &inst,
             &OpoaoModel::new(10),
-            &selectors,
+            &[
+                Algorithm::NoBlocking,
+                Algorithm::MaxDegree,
+                Algorithm::Proximity,
+            ],
             2,
             7,
             &MonteCarloConfig {
@@ -223,11 +246,10 @@ mod tests {
     #[test]
     fn table_and_csv_rendering() {
         let inst = instance();
-        let selectors: Vec<&dyn ProtectorSelector> = vec![&NoBlockingSelector];
         let report = run_selectors(
             &inst,
             &DoamModel::default(),
-            &selectors,
+            &[Algorithm::NoBlocking],
             0,
             0,
             &MonteCarloConfig {

@@ -20,8 +20,8 @@ use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::NodeId;
 
 use crate::{
-    find_bridge_ends, star_sets, BridgeEndRule, BridgeEnds, CoverageScratch, LcrbError,
-    ObjectiveModel, ProtectionObjective, RumorBlockingInstance, SketchObjective, SketchParams,
+    star_sets, BridgeEnds, CoverageScratch, LcrbError, ObjectiveModel, ProtectionObjective,
+    RumorBlockingInstance, SketchObjective, SketchParams,
 };
 
 /// Where Algorithm 1 looks for protector candidates.
@@ -51,8 +51,8 @@ pub enum CandidatePool {
 /// gain query; the sketch estimator pays a one-time RR-sketch sample
 /// and answers every query by coverage counting
 /// ([`SketchObjective`]). Sketches require the OPOAO objective model
-/// and ignore [`GreedyConfig::realizations`] (the sample size comes
-/// from the `(ε, δ)` schedule in [`SketchParams`]).
+/// and ignore [`crate::SolveRequest::realizations`] (the sample size
+/// comes from the `(ε, δ)` schedule in [`SketchParams`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Estimator {
     /// Simulation over the coupled realization batch (the default).
@@ -60,57 +60,6 @@ pub enum Estimator {
     MonteCarlo,
     /// Reverse-reachable sketch coverage (the RIS estimator).
     Sketch(SketchParams),
-}
-
-/// Configuration for [`greedy_lcrb_p`] and [`greedy_with_budget`].
-#[derive(Clone, Copy, Debug)]
-pub struct GreedyConfig {
-    /// Protection level `α ∈ (0, 1]`: stop once `σ̂ ≥ α·|B|`.
-    pub alpha: f64,
-    /// Number of coupled realizations for the `σ̂` estimator.
-    pub realizations: usize,
-    /// Master seed for the realization batch.
-    pub master_seed: u64,
-    /// Hop budget per simulated diffusion (applies to the OPOAO
-    /// objective; an IC model keeps its own hop budget).
-    pub max_hops: u32,
-    /// Which diffusion model the objective estimates under (OPOAO by
-    /// default; competitive IC via live-edge realizations as the
-    /// EIL-flavored extension).
-    pub model: ObjectiveModel,
-    /// Hard cap on the number of protectors selected.
-    pub max_protectors: usize,
-    /// Candidate pool to draw from.
-    pub candidates: CandidatePool,
-    /// Use CELF lazy evaluation (`false` re-scores every candidate in
-    /// every round — the plain Algorithm 1, kept for ablation).
-    pub lazy: bool,
-    /// Bridge-end detection rule.
-    pub rule: BridgeEndRule,
-    /// Worker threads for the initial gain sweep (0 = available
-    /// parallelism).
-    pub threads: usize,
-    /// How `σ̂` is estimated: Monte-Carlo simulation or RR-sketch
-    /// coverage.
-    pub estimator: Estimator,
-}
-
-impl Default for GreedyConfig {
-    fn default() -> Self {
-        GreedyConfig {
-            alpha: 0.8,
-            realizations: 64,
-            master_seed: 0,
-            max_hops: lcrb_diffusion::PAPER_OPOAO_HOPS,
-            model: ObjectiveModel::default(),
-            max_protectors: usize::MAX,
-            candidates: CandidatePool::default(),
-            lazy: true,
-            rule: BridgeEndRule::default(),
-            threads: 0,
-            estimator: Estimator::default(),
-        }
-    }
 }
 
 /// The outcome of a greedy run.
@@ -154,66 +103,10 @@ impl Ord for FiniteF64 {
     }
 }
 
-/// Runs Algorithm 1: select protectors until `σ̂ ≥ α·|B|`.
-///
-/// **Deprecated shim**: this one-shot entry rebuilds every artifact
-/// (bridge ends, estimator state) per call. New code should hold a
-/// [`crate::engine::Solver`] and submit
-/// [`crate::engine::SolveRequest`]s, which cache those artifacts
-/// across queries; this function remains for one-off use and will be
-/// removed from the prelude in a future release.
-///
-/// # Errors
-///
-/// - [`LcrbError::InvalidAlpha`] if `config.alpha` is not in
-///   `(0, 1]`;
-/// - [`LcrbError::NoRealizations`] if `config.realizations == 0`.
-///
-/// If the target is unreachable within the candidate pool and budget
-/// (possible when `max_hops` is small or the pool is restricted), the
-/// run returns with `target_met == false` rather than erroring — the
-/// partial selection is still the greedy-optimal prefix.
-pub fn greedy_lcrb_p(
-    instance: &RumorBlockingInstance,
-    config: &GreedyConfig,
-) -> Result<GreedySelection, LcrbError> {
-    if config.alpha.is_nan() || config.alpha <= 0.0 || config.alpha > 1.0 {
-        return Err(LcrbError::InvalidAlpha {
-            alpha: config.alpha,
-        });
-    }
-    run_greedy(instance, config, None)
-}
-
-/// Budget-mode greedy: selects exactly `budget` protectors (or fewer
-/// if gains hit zero), ignoring `config.alpha`. This is how the
-/// paper's OPOAO experiments use the greedy — "for the same number of
-/// protector and rumor originators, how many nodes will be infected?"
-/// (§VI-B2).
-///
-/// **Deprecated shim**: prefer a [`crate::engine::Solver`] with
-/// [`crate::engine::SolveRequest::greedy_budget`], which reuses the
-/// sketch sample and CELF state across budgets instead of rebuilding
-/// them per call.
-///
-/// # Errors
-///
-/// Returns [`LcrbError::NoRealizations`] if `config.realizations ==
-/// 0`.
-pub fn greedy_with_budget(
-    instance: &RumorBlockingInstance,
-    budget: usize,
-    config: &GreedyConfig,
-) -> Result<GreedySelection, LcrbError> {
-    run_greedy(instance, config, Some(budget))
-}
-
-/// The `σ̂` estimator selected by [`GreedyConfig::estimator`], behind
-/// one `sigma_with`-shaped call for the CELF loop.
-///
-/// Crate-internal so the session engine ([`crate::engine::Solver`])
-/// can assemble one from cached artifacts (a shared
-/// [`crate::SketchIndex`]) instead of rebuilding per solve.
+/// The `σ̂` estimator a request's [`Estimator`] selects, behind one
+/// `sigma_with`-shaped call for the CELF loop. The session engine
+/// ([`crate::engine::Solver`]) assembles one per solve from cached
+/// artifacts (a shared [`crate::SketchIndex`]).
 pub(crate) enum SigmaBackend<'a> {
     Mc(ProtectionObjective<'a>),
     Sketch(SketchObjective<'a>),
@@ -255,47 +148,15 @@ impl SigmaBackend<'_> {
     }
 }
 
-/// Applies the config's hop budget to the OPOAO objective model (an
-/// IC model keeps its own hop budget) — shared between the one-shot
-/// path here and the session engine.
-pub(crate) fn normalized_model(config: &GreedyConfig) -> ObjectiveModel {
-    match config.model {
+/// Applies the request's hop budget to the OPOAO objective model (an
+/// IC model keeps its own hop budget).
+pub(crate) fn normalized_model(model: ObjectiveModel, max_hops: u32) -> ObjectiveModel {
+    match model {
         ObjectiveModel::Opoao(_) => {
-            ObjectiveModel::Opoao(lcrb_diffusion::OpoaoModel::new(config.max_hops))
+            ObjectiveModel::Opoao(lcrb_diffusion::OpoaoModel::new(max_hops))
         }
         other => other,
     }
-}
-
-/// Builds the `σ̂` backend the config asks for, sampling sketches or
-/// deriving the realization batch as needed.
-pub(crate) fn build_backend<'a>(
-    instance: &'a RumorBlockingInstance,
-    config: &GreedyConfig,
-    bridge_nodes: Vec<NodeId>,
-) -> Result<SigmaBackend<'a>, LcrbError> {
-    let model = normalized_model(config);
-    Ok(match config.estimator {
-        Estimator::MonteCarlo => SigmaBackend::Mc(ProtectionObjective::with_model(
-            instance,
-            bridge_nodes,
-            model,
-            config.realizations,
-            config.master_seed,
-        )?),
-        Estimator::Sketch(params) => {
-            if !matches!(model, ObjectiveModel::Opoao(_)) {
-                return Err(LcrbError::SketchModelUnsupported);
-            }
-            SigmaBackend::Sketch(SketchObjective::build(
-                instance,
-                bridge_nodes,
-                params,
-                config.master_seed,
-                config.max_hops,
-            )?)
-        }
-    })
 }
 
 /// The resumable state of one greedy run: the CELF pick sequence so
@@ -580,58 +441,9 @@ pub(crate) fn selection_from_trajectory(
     }
 }
 
-fn run_greedy(
-    instance: &RumorBlockingInstance,
-    config: &GreedyConfig,
-    budget: Option<usize>,
-) -> Result<GreedySelection, LcrbError> {
-    let bridge_ends = find_bridge_ends(instance, config.rule);
-    // xtask-allow: bufclone -- one-time handoff of the bridge-end list to the estimator, outside the query loop
-    let backend = build_backend(instance, config, bridge_ends.nodes.clone())?;
-    let target = match budget {
-        Some(_) => f64::INFINITY,
-        None => config.alpha * bridge_ends.len() as f64,
-    };
-    let cap = budget.unwrap_or(config.max_protectors);
-
-    let mut traj = GreedyTrajectory::new(candidate_pool(instance, &bridge_ends, config.candidates));
-    // A one-shot pool: the sequential CELF loop leases one long-lived
-    // scratch (a `SimWorkspace` plus reusable seed pair against the
-    // CSR snapshot for Monte Carlo, coverage stamps for sketches) and
-    // the initial sweep leases one per worker.
-    let pool = ScratchPool::new();
-    let mut meter = WorkMeter::unlimited();
-    advance_trajectory(
-        &backend,
-        &mut traj,
-        target,
-        cap,
-        config.lazy,
-        config.threads,
-        &pool,
-        &mut meter,
-    )?;
-    let evaluations = traj.evaluations();
-    Ok(selection_from_trajectory(
-        &traj,
-        target,
-        cap,
-        evaluations,
-        bridge_ends,
-    ))
-}
-
-/// Crate-internal access to the candidate-pool construction (shared
-/// with the GVS baseline).
-pub(crate) fn candidate_pool_for(
-    instance: &RumorBlockingInstance,
-    bridge_ends: &BridgeEnds,
-    pool: CandidatePool,
-) -> Vec<NodeId> {
-    candidate_pool(instance, bridge_ends, pool)
-}
-
-fn candidate_pool(
+/// The candidate pool `pool` describes, in ascending id order (shared
+/// by the greedy and the GVS baseline).
+pub(crate) fn candidate_pool(
     instance: &RumorBlockingInstance,
     bridge_ends: &BridgeEnds,
     pool: CandidatePool,
@@ -732,6 +544,8 @@ fn parallel_initial_gains(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{SolveDetail, SolveRequest, Solver};
+    use crate::{find_bridge_ends, BridgeEndRule};
     use lcrb_community::Partition;
     use lcrb_graph::generators;
     use lcrb_graph::DiGraph;
@@ -752,17 +566,28 @@ mod tests {
         RumorBlockingInstance::with_random_seeds(g, p, 0, 2, &mut rng).unwrap()
     }
 
+    /// A cold greedy solve on a fresh session.
+    fn greedy(
+        inst: &RumorBlockingInstance,
+        request: &SolveRequest,
+    ) -> Result<GreedySelection, LcrbError> {
+        let report = Solver::new(inst.clone()).solve(request)?;
+        let SolveDetail::Greedy(selection) = report.detail else {
+            panic!("expected greedy detail");
+        };
+        Ok(selection)
+    }
+
     #[test]
     fn rejects_bad_alpha() {
         let inst = chain_instance();
         for alpha in [0.0, -0.5, 1.5, f64::NAN] {
-            let cfg = GreedyConfig {
-                alpha,
+            let req = SolveRequest {
                 realizations: 4,
-                ..GreedyConfig::default()
+                ..SolveRequest::greedy_alpha(alpha)
             };
             assert!(matches!(
-                greedy_lcrb_p(&inst, &cfg).unwrap_err(),
+                greedy(&inst, &req).unwrap_err(),
                 LcrbError::InvalidAlpha { .. }
             ));
         }
@@ -771,12 +596,12 @@ mod tests {
     #[test]
     fn rejects_zero_realizations() {
         let inst = chain_instance();
-        let cfg = GreedyConfig {
+        let req = SolveRequest {
             realizations: 0,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(0.8)
         };
         assert!(matches!(
-            greedy_lcrb_p(&inst, &cfg).unwrap_err(),
+            greedy(&inst, &req).unwrap_err(),
             LcrbError::NoRealizations
         ));
     }
@@ -784,12 +609,11 @@ mod tests {
     #[test]
     fn chain_is_fully_protectable_with_one_node() {
         let inst = chain_instance();
-        let cfg = GreedyConfig {
-            alpha: 1.0,
+        let req = SolveRequest {
             realizations: 8,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(1.0)
         };
-        let sel = greedy_lcrb_p(&inst, &cfg).unwrap();
+        let sel = greedy(&inst, &req).unwrap();
         assert!(sel.target_met);
         assert_eq!(sel.bridge_ends.nodes, vec![NodeId::new(2)]);
         // Protecting node 1 or node 2 saves the single bridge end.
@@ -801,12 +625,12 @@ mod tests {
     #[test]
     fn budget_mode_selects_exactly_budget_when_gains_remain() {
         let inst = community_instance(5);
-        let cfg = GreedyConfig {
+        let req = SolveRequest {
             realizations: 16,
             max_hops: 20,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_budget(2)
         };
-        let sel = greedy_with_budget(&inst, 2, &cfg).unwrap();
+        let sel = greedy(&inst, &req).unwrap();
         assert!(sel.protectors.len() <= 2);
         assert_eq!(sel.target, f64::INFINITY);
         assert!(!sel.target_met);
@@ -819,16 +643,15 @@ mod tests {
     #[test]
     fn lazy_and_plain_greedy_agree_on_achieved_sigma() {
         let inst = community_instance(7);
-        let base = GreedyConfig {
+        let base = SolveRequest {
             realizations: 12,
             max_hops: 15,
-            alpha: 0.6,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(0.6)
         };
-        let lazy = greedy_lcrb_p(&inst, &base).unwrap();
-        let plain = greedy_lcrb_p(
+        let lazy = greedy(&inst, &base).unwrap();
+        let plain = greedy(
             &inst,
-            &GreedyConfig {
+            &SolveRequest {
                 lazy: false,
                 ..base
             },
@@ -876,11 +699,11 @@ mod tests {
         let g = DiGraph::from_edges(4, [(0, 1), (1, 0)]).unwrap();
         let p = Partition::from_labels(vec![0, 0, 1, 1]);
         let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)]).unwrap();
-        let sel = greedy_lcrb_p(
+        let sel = greedy(
             &inst,
-            &GreedyConfig {
+            &SolveRequest {
                 realizations: 4,
-                ..GreedyConfig::default()
+                ..SolveRequest::greedy_alpha(0.8)
             },
         )
         .unwrap();
@@ -892,13 +715,12 @@ mod tests {
     fn greedy_works_under_competitive_ic() {
         use lcrb_diffusion::CompetitiveIcModel;
         let inst = community_instance(13);
-        let cfg = GreedyConfig {
+        let req = SolveRequest {
             realizations: 12,
             model: ObjectiveModel::CompetitiveIc(CompetitiveIcModel::new(0.5).unwrap()),
-            alpha: 0.6,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(0.6)
         };
-        let sel = greedy_lcrb_p(&inst, &cfg).unwrap();
+        let sel = greedy(&inst, &req).unwrap();
         // σ̂ history is nondecreasing and the selection is valid.
         for w in sel.sigma_history.windows(2) {
             assert!(w[1] >= w[0] - 1e-12);
@@ -914,12 +736,9 @@ mod tests {
     #[test]
     fn sketch_estimator_solves_the_chain() {
         let inst = chain_instance();
-        let cfg = GreedyConfig {
-            alpha: 1.0,
-            estimator: Estimator::Sketch(SketchParams::default()),
-            ..GreedyConfig::default()
-        };
-        let sel = greedy_lcrb_p(&inst, &cfg).unwrap();
+        let req = SolveRequest::greedy_alpha(1.0)
+            .with_estimator(Estimator::Sketch(SketchParams::default()));
+        let sel = greedy(&inst, &req).unwrap();
         assert!(sel.target_met);
         assert_eq!(sel.protectors.len(), 1);
         // On the forced chain the only useful picks are 1 and 2.
@@ -930,13 +749,13 @@ mod tests {
     fn sketch_estimator_rejects_non_opoao_models() {
         use lcrb_diffusion::CompetitiveIcModel;
         let inst = chain_instance();
-        let cfg = GreedyConfig {
+        let req = SolveRequest {
             estimator: Estimator::Sketch(SketchParams::default()),
             model: ObjectiveModel::CompetitiveIc(CompetitiveIcModel::new(0.5).unwrap()),
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(0.8)
         };
         assert!(matches!(
-            greedy_lcrb_p(&inst, &cfg).unwrap_err(),
+            greedy(&inst, &req).unwrap_err(),
             LcrbError::SketchModelUnsupported
         ));
     }
@@ -944,14 +763,13 @@ mod tests {
     #[test]
     fn sketch_estimator_is_deterministic_across_threads() {
         let inst = community_instance(17);
-        let base = GreedyConfig {
+        let base = SolveRequest {
             estimator: Estimator::Sketch(SketchParams::default()),
-            alpha: 0.7,
             threads: 1,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(0.7)
         };
-        let a = greedy_lcrb_p(&inst, &base).unwrap();
-        let b = greedy_lcrb_p(&inst, &GreedyConfig { threads: 4, ..base }).unwrap();
+        let a = greedy(&inst, &base).unwrap();
+        let b = greedy(&inst, &SolveRequest { threads: 4, ..base }).unwrap();
         assert_eq!(a.protectors, b.protectors);
         assert_eq!(a.achieved, b.achieved);
     }
@@ -959,17 +777,15 @@ mod tests {
     #[test]
     fn sketch_and_mc_selections_have_comparable_quality() {
         let inst = community_instance(19);
-        let mc_cfg = GreedyConfig {
-            realizations: 32,
-            ..GreedyConfig::default()
-        };
-        let sk_cfg = GreedyConfig {
-            estimator: Estimator::Sketch(SketchParams::default()),
-            ..GreedyConfig::default()
-        };
         let budget = 3;
-        let mc = greedy_with_budget(&inst, budget, &mc_cfg).unwrap();
-        let sk = greedy_with_budget(&inst, budget, &sk_cfg).unwrap();
+        let mc_req = SolveRequest {
+            realizations: 32,
+            ..SolveRequest::greedy_budget(budget)
+        };
+        let sk_req = SolveRequest::greedy_budget(budget)
+            .with_estimator(Estimator::Sketch(SketchParams::default()));
+        let mc = greedy(&inst, &mc_req).unwrap();
+        let sk = greedy(&inst, &sk_req).unwrap();
         // Judge both selections with the same MC objective.
         let bridges = find_bridge_ends(&inst, BridgeEndRule::default());
         let judge = ProtectionObjective::new(&inst, bridges.nodes, 64, 123, 31).unwrap();
@@ -987,14 +803,13 @@ mod tests {
     #[test]
     fn threads_do_not_change_selection() {
         let inst = community_instance(11);
-        let base = GreedyConfig {
+        let base = SolveRequest {
             realizations: 12,
-            alpha: 0.7,
             threads: 1,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_alpha(0.7)
         };
-        let a = greedy_lcrb_p(&inst, &base).unwrap();
-        let b = greedy_lcrb_p(&inst, &GreedyConfig { threads: 4, ..base }).unwrap();
+        let a = greedy(&inst, &base).unwrap();
+        let b = greedy(&inst, &SolveRequest { threads: 4, ..base }).unwrap();
         assert_eq!(a.protectors, b.protectors);
         assert_eq!(a.achieved, b.achieved);
     }

@@ -68,7 +68,8 @@ pub struct GvsSelection {
 ///
 /// # Errors
 ///
-/// Returns [`LcrbError::Seeds`] only if the instance is internally
+/// Returns [`LcrbError::NoRealizations`] if `config.mc_runs == 0`, and
+/// [`LcrbError::Seeds`] only if the instance is internally
 /// inconsistent (cannot happen through the public constructors).
 pub fn greedy_viral_stopper<M>(
     instance: &RumorBlockingInstance,
@@ -111,14 +112,17 @@ pub(crate) fn greedy_viral_stopper_metered<M>(
 where
     M: TwoCascadeModel + Sync,
 {
+    if config.mc_runs == 0 {
+        return Err(LcrbError::NoRealizations);
+    }
     let mc = MonteCarloConfig {
-        runs: config.mc_runs.max(1),
+        runs: config.mc_runs,
         base_seed: config.seed,
         threads: 0,
     };
 
     let bridge_ends = find_bridge_ends(instance, config.rule);
-    let candidates = crate::greedy::candidate_pool_for(instance, &bridge_ends, config.candidates);
+    let candidates = crate::greedy::candidate_pool(instance, &bridge_ends, config.candidates);
     let seeds = instance.seed_sets(Vec::new())?;
     let baseline = monte_carlo_csr_budgeted(model, instance.snapshot(), &seeds, &mc, meter)
         .map_err(|reason| LcrbError::Interrupted { reason })?

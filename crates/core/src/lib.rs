@@ -13,19 +13,22 @@
 //!
 //! - **LCRB-P** (under the stochastic OPOAO model): protect an `α`
 //!   fraction of bridge ends in expectation. The objective is
-//!   monotone submodular (Theorem 1), so [`greedy_lcrb_p`] — the
-//!   paper's Algorithm 1, here with CELF lazy evaluation — is a
-//!   `(1 − 1/e)`-approximation.
+//!   monotone submodular (Theorem 1), so the greedy
+//!   ([`Algorithm::Greedy`]) — the paper's Algorithm 1, here with CELF
+//!   lazy evaluation — is a `(1 − 1/e)`-approximation.
 //! - **LCRB-D** (under the deterministic DOAM model): protect *all*
 //!   bridge ends. This is equivalent to Set Cover (Theorems 2–3), so
 //!   [`scbg`] — the Set Cover Based Greedy, Algorithm 3 — achieves
 //!   the optimal `O(ln |B|)` factor.
 //!
-//! The crate also ships the paper's comparison heuristics
-//! ([`MaxDegreeSelector`], [`ProximitySelector`], plus
-//! [`RandomSelector`] and [`NoBlockingSelector`]) and the evaluation
-//! harness behind its figures ([`engine::Solver::compare`] with
-//! [`evaluate::evaluate_protector_sets`]).
+//! Every selection goes through one [`Solver`] session: a
+//! [`SolveRequest`] names the [`Algorithm`] — the greedy, SCBG, the
+//! GVS baseline, or the paper's comparison heuristics
+//! ([`Algorithm::MaxDegree`], [`Algorithm::Proximity`], plus
+//! [`Algorithm::Random`], [`Algorithm::PageRank`] and
+//! [`Algorithm::NoBlocking`]). The evaluation harness behind the
+//! figures ([`evaluate::evaluate_protector_sets`]) Monte-Carlo
+//! evaluates the selected sets.
 //!
 //! ## Quickstart
 //!
@@ -71,20 +74,15 @@ pub mod source;
 
 pub use bridge::{find_bridge_ends, BridgeEndRule, BridgeEnds};
 pub use engine::{
-    Algorithm, Budgeted, CacheCounters, CacheStats, Completion, Selector, SolveDetail, SolveReport,
-    SolveRequest, Solver, SolverConfig, StageTiming, StopRule,
+    Algorithm, CacheCounters, CacheStats, Completion, SolveDetail, SolveReport, SolveRequest,
+    Solver, SolverConfig, StageTiming, StopRule,
 };
 // The budget/cancellation vocabulary rides on every `SolveRequest`,
 // so re-export it from the problem layer too.
 pub use error::LcrbError;
-pub use greedy::{
-    greedy_lcrb_p, greedy_with_budget, CandidatePool, Estimator, GreedyConfig, GreedySelection,
-};
+pub use greedy::{CandidatePool, Estimator, GreedySelection};
 pub use gvs::{greedy_viral_stopper, GvsConfig, GvsSelection};
-pub use heuristics::{
-    protectors_to_cover_all, MaxDegreeSelector, NoBlockingSelector, PageRankSelector,
-    ProtectorSelector, ProximitySelector, RandomSelector,
-};
+pub use heuristics::{max_degree_ordering, protectors_to_cover_all, proximity_pool};
 pub use instance::RumorBlockingInstance;
 pub use lcrb_diffusion::{CancelToken, RunBudget, StopReason, WorkMeter};
 pub use objective::{ObjectiveModel, ProtectionObjective};

@@ -5,13 +5,15 @@
 
 use lcrb::setcover::{greedy_set_cover, harmonic};
 use lcrb::{
-    find_bridge_ends, greedy_with_budget, protectors_to_cover_all, scbg, BridgeEndRule,
-    GreedyConfig, MaxDegreeSelector, ProtectionObjective, RumorBlockingInstance, ScbgConfig,
+    find_bridge_ends, max_degree_ordering, protectors_to_cover_all, scbg, Algorithm, BridgeEndRule,
+    ProtectionObjective, RumorBlockingInstance, ScbgConfig, SolveDetail, SolveRequest, Solver,
 };
 use lcrb_community::Partition;
 use lcrb_diffusion::DoamModel;
-use lcrb_graph::{DiGraph, NodeId};
+use lcrb_graph::{generators, DiGraph, NodeId};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// A random two-community instance with rumor seeds in community 0.
 fn arb_instance() -> impl Strategy<Value = RumorBlockingInstance> {
@@ -39,6 +41,16 @@ fn arb_instance() -> impl Strategy<Value = RumorBlockingInstance> {
                 .expect("seeds are in community 0 by construction")
             })
     })
+}
+
+/// A planted two-community instance `(a, b)` with rumor seeds in
+/// community 0, drawn from `seed`.
+fn planted_instance(a: usize, b: usize, seed: u64) -> RumorBlockingInstance {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (g, labels) = generators::planted_partition(&[a, b], 0.3, 0.05, false, &mut rng)
+        .expect("probabilities are in range");
+    RumorBlockingInstance::with_random_seeds(g, Partition::from_labels(labels), 0, 2, &mut rng)
+        .expect("community 0 is non-empty")
 }
 
 /// Distinct non-rumor nodes of an instance, for protector picks.
@@ -205,7 +217,7 @@ proptest! {
     /// necessary (dropping it leaves some bridge end unprotected).
     #[test]
     fn coverage_prefix_is_tight(inst in arb_instance()) {
-        let ordering = MaxDegreeSelector.ordering(&inst);
+        let ordering = max_degree_ordering(&inst);
         let Some(chosen) = protectors_to_cover_all(
             &inst,
             BridgeEndRule::WithinCommunity,
@@ -243,12 +255,15 @@ proptest! {
     /// and improves σ̂ monotonically.
     #[test]
     fn greedy_budget_mode_invariants(inst in arb_instance(), budget in 0usize..4) {
-        let cfg = GreedyConfig {
+        let req = SolveRequest {
             realizations: 4,
             max_hops: 12,
-            ..GreedyConfig::default()
+            ..SolveRequest::greedy_budget(budget)
         };
-        let sel = greedy_with_budget(&inst, budget, &cfg).unwrap();
+        let report = Solver::new(inst.clone()).solve(&req).unwrap();
+        let SolveDetail::Greedy(sel) = report.detail else {
+            unreachable!("a greedy request carries a greedy detail");
+        };
         prop_assert!(sel.protectors.len() <= budget);
         for p in &sel.protectors {
             prop_assert!(!inst.is_rumor_seed(*p));
@@ -257,5 +272,46 @@ proptest! {
             prop_assert!(w[1] >= w[0] - 1e-12);
         }
         prop_assert_eq!(sel.sigma_history.len(), sel.protectors.len());
+    }
+
+    /// Every heuristic answers with at most `budget` distinct nodes,
+    /// none of them a rumor originator, and batching the requests
+    /// across 1 or 3 workers returns exactly the serial answers.
+    #[test]
+    fn heuristic_answers_respect_budget_and_batching(
+        (a, b, seed, budget) in (4usize..14, 4usize..14, 0u64..10_000).prop_flat_map(
+            |(a, b, seed)| (0..a + b + 3).prop_map(move |budget| (a, b, seed, budget)),
+        ),
+    ) {
+        let inst = planted_instance(a, b, seed);
+        let requests = [
+            Algorithm::MaxDegree,
+            Algorithm::Proximity,
+            Algorithm::Random,
+            Algorithm::PageRank,
+            Algorithm::NoBlocking,
+        ]
+        .map(|algorithm| SolveRequest::heuristic(algorithm, budget));
+        let serial_solver = Solver::new(inst.clone());
+        let serial: Vec<Vec<NodeId>> = requests
+            .iter()
+            .map(|r| serial_solver.solve(r).unwrap().protectors)
+            .collect();
+        for picks in &serial {
+            prop_assert!(picks.len() <= budget);
+            let distinct: std::collections::BTreeSet<_> = picks.iter().collect();
+            prop_assert_eq!(distinct.len(), picks.len());
+            for p in picks {
+                prop_assert!(!inst.is_rumor_seed(*p));
+            }
+        }
+        for threads in [1, 3] {
+            let batched: Vec<Vec<NodeId>> = Solver::new(inst.clone())
+                .solve_many_threaded(&requests, threads)
+                .into_iter()
+                .map(|r| r.unwrap().protectors)
+                .collect();
+            prop_assert_eq!(&batched, &serial);
+        }
     }
 }

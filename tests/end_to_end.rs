@@ -6,6 +6,21 @@ use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// A cold greedy solve on a fresh session seeded with `master_seed`.
+fn greedy(
+    inst: &RumorBlockingInstance,
+    master_seed: u64,
+    request: &SolveRequest,
+) -> lcrb::GreedySelection {
+    let report = Solver::with_config(inst.clone(), SolverConfig { master_seed })
+        .solve(request)
+        .unwrap();
+    let SolveDetail::Greedy(selection) = report.detail else {
+        unreachable!("a greedy request carries a greedy detail");
+    };
+    selection
+}
+
 fn hep_instance(scale: f64, seed: u64, rumors: usize) -> RumorBlockingInstance {
     let ds = hep_like(&DatasetConfig::new(scale, seed));
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -85,14 +100,13 @@ fn pipeline_works_with_detected_communities() {
 #[test]
 fn greedy_beats_no_blocking_under_opoao() {
     let inst = hep_instance(0.05, 11, 2);
-    let cfg = GreedyConfig {
+    let budget = 4;
+    let req = SolveRequest {
         realizations: 16,
         candidates: CandidatePool::BackwardRadius(1),
-        master_seed: 4,
-        ..GreedyConfig::default()
+        ..SolveRequest::greedy_budget(budget)
     };
-    let budget = 4;
-    let selection = greedy_with_budget(&inst, budget, &cfg).unwrap();
+    let selection = greedy(&inst, 4, &req);
     assert!(selection.protectors.len() <= budget);
 
     let mc = MonteCarloConfig {
@@ -123,7 +137,7 @@ fn scbg_needs_fewer_protectors_than_coverage_heuristics() {
     let inst = hep_instance(0.08, 5, 8);
     let solution = scbg(&inst, &ScbgConfig::default());
 
-    let md_order = MaxDegreeSelector.ordering(&inst);
+    let md_order = max_degree_ordering(&inst);
     let md = protectors_to_cover_all(&inst, BridgeEndRule::WithinCommunity, &md_order)
         .expect("max-degree ordering covers eventually");
     assert!(
@@ -140,14 +154,12 @@ fn alpha_one_greedy_matches_problem_definition() {
     // alpha close to 1 should protect nearly all bridge ends in
     // expectation.
     let inst = hep_instance(0.04, 3, 2);
-    let cfg = GreedyConfig {
-        alpha: 0.9,
+    let req = SolveRequest {
         realizations: 16,
         candidates: CandidatePool::BbstUnion,
-        master_seed: 2,
-        ..GreedyConfig::default()
+        ..SolveRequest::greedy_alpha(0.9)
     };
-    let sel = greedy_lcrb_p(&inst, &cfg).unwrap();
+    let sel = greedy(&inst, 2, &req);
     assert!(sel.target_met, "greedy failed to hit alpha = 0.9 target");
     assert!(sel.achieved >= 0.9 * sel.bridge_ends.len() as f64 - 1e-9);
 }
@@ -158,14 +170,13 @@ fn greedy_generalizes_to_competitive_ic() {
     use lcrb_repro::diffusion::CompetitiveIcModel;
     let inst = hep_instance(0.05, 21, 2);
     let ic = CompetitiveIcModel::new(0.5).unwrap();
-    let cfg = GreedyConfig {
+    let req = SolveRequest {
         realizations: 16,
         model: ObjectiveModel::CompetitiveIc(ic),
         candidates: CandidatePool::BackwardRadius(1),
-        master_seed: 6,
-        ..GreedyConfig::default()
+        ..SolveRequest::greedy_budget(4)
     };
-    let sel = greedy_with_budget(&inst, 4, &cfg).unwrap();
+    let sel = greedy(&inst, 6, &req);
     assert!(!sel.protectors.is_empty());
 
     // The selection genuinely helps under the IC model it optimized.

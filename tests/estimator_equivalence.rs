@@ -39,14 +39,15 @@ fn instance() -> RumorBlockingInstance {
 }
 
 fn select(inst: &RumorBlockingInstance, estimator: Estimator) -> Vec<NodeId> {
-    let cfg = GreedyConfig {
+    let solver = Solver::with_config(inst.clone(), SolverConfig { master_seed: 9 });
+    let req = SolveRequest {
         realizations: 8,
         candidates: CandidatePool::BackwardRadius(2),
-        master_seed: 9,
         estimator,
-        ..GreedyConfig::default()
+        ..SolveRequest::greedy_budget(3)
     };
-    greedy_with_budget(inst, 3, &cfg)
+    solver
+        .solve(&req)
         .expect("budget-mode greedy cannot fail on a valid instance")
         .protectors
 }
