@@ -21,6 +21,13 @@
 //! bridge set and RR-sketch index are shared warm hits — the
 //! steady-state shape of a session serving concurrent callers.
 //!
+//! `engine_concurrent/cold_sketch_race_t{1,2}` measure the cold
+//! same-key race: two sketch-greedy requests (same sketch key,
+//! different candidate pools, one in-solve thread each) on a fresh
+//! session through [`Solver::solve_many_threaded`] at one worker vs
+//! two. At two workers one request owns the sketch-index build and
+//! the other, waiting on the same key, generates chunks of it.
+//!
 //! The one-time extension cost is reported separately after the
 //! groups, read from the engine's own per-stage timings so the bench
 //! needs no clock of its own. The measured ratios (and the session
@@ -187,6 +194,26 @@ fn bench_engine_concurrent(c: &mut Criterion) {
                 let reports = solver.solve_many_threaded(black_box(&batch), threads);
                 for report in &reports {
                     assert!(report.is_ok(), "batched sketch greedy cannot fail");
+                }
+                black_box(reports)
+            });
+        });
+    }
+    // Cold same-key race: a fresh session per iteration, so the
+    // sketch index is built inside the timed region every time.
+    let race = [1, 2].map(|radius| SolveRequest {
+        candidates: CandidatePool::BackwardRadius(radius),
+        threads: 1,
+        ..sketch_request(QUERY_BUDGET)
+    });
+    for threads in [1_usize, 2] {
+        group.bench_function(format!("cold_sketch_race_t{threads}"), |b| {
+            b.iter(|| {
+                let solver = session(&inst);
+                let reports = solver.solve_many_threaded(black_box(&race), threads);
+                assert_eq!(solver.cache_stats().sketch.misses, 1, "one shared build");
+                for report in &reports {
+                    assert!(report.is_ok(), "cold sketch greedy cannot fail");
                 }
                 black_box(reports)
             });

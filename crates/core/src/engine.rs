@@ -44,9 +44,10 @@
 //!   `&mut self`, which statically excludes racing in-flight solves);
 //! - **shared mutable**: the [`ArtifactCache`] (internally
 //!   synchronized, per-family locking with single-builder/waiters
-//!   discipline — concurrent same-key solves build an artifact once)
-//!   and the scratch pool (`lcrb_diffusion::ScratchPool`, leasing
-//!   workspaces behind RAII guards);
+//!   discipline — concurrent same-key solves build an artifact once,
+//!   and the waiters on a sketch index help generate it) and the
+//!   scratch pool (`lcrb_diffusion::ScratchPool`, leasing workspaces
+//!   behind RAII guards);
 //! - **per-request**: stage timers, derived RNG streams, scratch
 //!   leases — created inside each solve, never shared.
 //!
@@ -82,6 +83,7 @@
 //! # }
 //! ```
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -100,7 +102,7 @@ use lcrb_diffusion::{CancelToken, RunBudget, ScratchPool, StopReason, WorkMeter}
 use lcrb_graph::NodeId;
 
 use crate::greedy::{
-    advance_trajectory, candidate_pool, normalized_model, selection_from_trajectory,
+    advance_trajectory, candidate_pool, normalized_model, selection_from_trajectory, worker_count,
     GreedyTrajectory, SigmaBackend, SigmaScratch,
 };
 use crate::gvs::greedy_viral_stopper_metered;
@@ -111,7 +113,7 @@ use crate::{
     find_bridge_ends, greedy_viral_stopper, max_degree_ordering, proximity_pool, scbg,
     BridgeEndRule, BridgeEnds, CandidatePool, Estimator, GreedySelection, GvsConfig, GvsSelection,
     LcrbError, ObjectiveModel, ProtectionObjective, RumorBlockingInstance, ScbgConfig,
-    ScbgSolution, SketchIndex, SketchObjective,
+    ScbgSolution, SketchBuild, SketchIndex, SketchObjective,
 };
 
 /// Which selection algorithm a [`SolveRequest`] runs.
@@ -192,8 +194,9 @@ pub struct SolveRequest {
     /// candidate every round — the plain Algorithm 1, kept as the
     /// reference CELF is tested against and for the ablation bench.
     pub lazy: bool,
-    /// Worker threads for the greedy's initial gain sweep (0 = one
-    /// per available core).
+    /// Worker threads for the greedy's initial gain sweep and for a
+    /// sketch-index build this request claims (0 = one per available
+    /// core). Never changes the answer.
     pub threads: usize,
     /// Hard protector cap for α-mode greedy solves.
     pub max_protectors: usize,
@@ -758,33 +761,40 @@ impl FamilyCounters {
 }
 
 /// One slot of a [`FamilyCache`]: either a finished artifact or a
-/// marker that some thread is building it (waiters park on the gate).
+/// marker that some thread is building it. The marker carries the
+/// shared build state `J`, which waiters help with before they park
+/// on the gate (`()` for families whose builds are not shared).
 #[derive(Debug)]
-enum Slot<V> {
-    Building(Arc<Gate>),
+enum Slot<V, J> {
+    Building(Arc<Gate>, Arc<J>),
     Ready(V),
 }
+
+/// A slot stamped with the epoch it belongs to.
+type Stamped<V, J> = (u64, Slot<V, J>);
 
 /// An internally synchronized, epoch-stamped artifact family with
 /// single-builder/waiters discipline: concurrent same-key lookups
 /// build the artifact exactly once, everyone else blocks on the
-/// builder's gate and then clones the shared result.
+/// builder's gate and then clones the shared result. With
+/// [`FamilyCache::get_or_try_build_shared`] the build is a shared job
+/// `J` that waiters work on before they block.
 ///
 /// The family mutex is held only for map bookkeeping — never across a
-/// build, a wait, or any simulation call.
+/// build, a wait, helping, or any simulation call.
 ///
 /// `pub` for the same reason as [`Gate`]: the deterministic-schedule
 /// tests drive the probe-or-publish race on the real type. The engine
 /// itself only uses it through [`ArtifactCache`].
 #[derive(Debug)]
-pub struct FamilyCache<K, V> {
-    map: Mutex<BTreeMap<K, (u64, Slot<V>)>>,
+pub struct FamilyCache<K, V, J = ()> {
+    map: Mutex<BTreeMap<K, Stamped<V, J>>>,
     counters: FamilyCounters,
 }
 
 // Manual impl: the derive would demand `K: Default + V: Default`,
 // but an empty map needs neither.
-impl<K, V> Default for FamilyCache<K, V> {
+impl<K, V, J> Default for FamilyCache<K, V, J> {
     fn default() -> Self {
         FamilyCache {
             map: Mutex::new(BTreeMap::new()),
@@ -793,42 +803,70 @@ impl<K, V> Default for FamilyCache<K, V> {
     }
 }
 
-/// Removes the `Building` marker a failed builder left behind and
-/// wakes its waiters, so they retry the build instead of deadlocking;
-/// `finish` disarms the removal once the `Ready` value is in place
-/// (the gate still opens on drop).
-struct BuildGuard<'a, K: Copy + Ord, V> {
-    cache: &'a FamilyCache<K, V>,
+/// The state of a build that same-key waiters can work on, published
+/// in a [`FamilyCache`] `Building` marker (see
+/// [`FamilyCache::get_or_try_build_shared`]).
+pub trait SharedBuild {
+    /// Ends the build for every helper: helpers stop working on it and
+    /// return. The cache calls this when the claiming caller's build
+    /// fails, however it fails — even before the build started — so
+    /// it must be idempotent. A build that succeeds must have closed
+    /// itself.
+    fn close(&self);
+}
+
+/// Builds nobody can help with.
+impl SharedBuild for () {
+    fn close(&self) {}
+}
+
+impl SharedBuild for SketchBuild {
+    fn close(&self) {
+        SketchBuild::close(self);
+    }
+}
+
+/// Removes the `Building` marker a failed builder left behind, closes
+/// its shared build and wakes its waiters, so they retry the build
+/// instead of deadlocking; `finish` disarms the removal once the
+/// `Ready` value is in place (the gate still opens on drop).
+struct BuildGuard<'a, K: Copy + Ord, V, J: SharedBuild> {
+    cache: &'a FamilyCache<K, V, J>,
     key: K,
     gate: Arc<Gate>,
+    job: Arc<J>,
     armed: bool,
 }
 
-impl<K: Copy + Ord, V> BuildGuard<'_, K, V> {
+impl<K: Copy + Ord, V, J: SharedBuild> BuildGuard<'_, K, V, J> {
     fn finish(mut self) {
         self.armed = false;
         // Drop still opens the gate for the waiters.
     }
 }
 
-impl<K: Copy + Ord, V> Drop for BuildGuard<'_, K, V> {
+impl<K: Copy + Ord, V, J: SharedBuild> Drop for BuildGuard<'_, K, V, J> {
     fn drop(&mut self) {
         if self.armed {
             let mut map = lock(&self.cache.map);
             // Only remove *our* marker: a concurrent epoch change may
             // have replaced the slot already.
-            if let Some((_, Slot::Building(g))) = map.get(&self.key) {
+            if let Some((_, Slot::Building(g, _))) = map.get(&self.key) {
                 if Arc::ptr_eq(g, &self.gate) {
                     map.remove(&self.key);
                 }
             }
+            drop(map);
+            // Release the helpers (a successful build has already
+            // closed itself).
+            self.job.close();
         }
         self.gate.open();
     }
 }
 
-enum Probe {
-    Wait(Arc<Gate>),
+enum Probe<J> {
+    Wait(Arc<Gate>, Arc<J>),
     Build,
 }
 
@@ -849,49 +887,7 @@ impl<K: Copy + Ord, V: Clone> FamilyCache<K, V> {
         epoch: u64,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
-        loop {
-            let mut map = lock(&self.map);
-            let probe = match map.get(&key) {
-                Some(&(e, Slot::Ready(ref v))) if e == epoch => {
-                    self.counters.hit();
-                    return Ok(v.clone());
-                }
-                Some(&(e, Slot::Building(ref g))) if e == epoch => Probe::Wait(Arc::clone(g)),
-                // Vacant, or stamped with a stale epoch (including a
-                // stale Building marker): claim the slot and rebuild.
-                Some(_) | None => Probe::Build,
-            };
-            match probe {
-                Probe::Wait(gate) => {
-                    drop(map);
-                    gate.wait();
-                    // Re-probe: the builder either parked a Ready
-                    // value or failed and vacated the slot.
-                }
-                Probe::Build => {
-                    let gate = Arc::new(Gate::default());
-                    map.insert(key, (epoch, Slot::Building(Arc::clone(&gate))));
-                    drop(map);
-                    self.counters.miss();
-                    let guard = BuildGuard {
-                        cache: self,
-                        key,
-                        gate,
-                        armed: true,
-                    };
-                    // Injectable failure between claiming the slot and
-                    // running the builder: the guard must vacate the
-                    // marker and open the gate during unwind.
-                    lcrb_sync::fault::point("family.build");
-                    // The build runs outside every lock; on error the
-                    // guard vacates the slot and frees the waiters.
-                    let value = build()?;
-                    lock(&self.map).insert(key, (epoch, Slot::Ready(value.clone())));
-                    guard.finish();
-                    return Ok(value);
-                }
-            }
-        }
+        self.get_or_try_build_shared(key, epoch, || (), |()| build(), |()| {})
     }
 
     /// [`FamilyCache::get_or_try_build`] for infallible builders.
@@ -900,6 +896,85 @@ impl<K: Copy + Ord, V: Clone> FamilyCache<K, V> {
             Ok(v) => v,
             Err(never) => match never {},
         }
+    }
+}
+
+impl<K: Copy + Ord, V: Clone, J: SharedBuild> FamilyCache<K, V, J> {
+    /// [`FamilyCache::get_or_try_build`] for builds several threads can
+    /// work on. The caller that claims the slot makes the shared job
+    /// with `job` (under the family lock, so it should be cheap),
+    /// publishes it in the `Building` marker and runs `build` on it;
+    /// same-key waiters call `help` on the published job, outside
+    /// every lock, before they park on the gate. When the claimer's
+    /// build ends the job is closed ([`SharedBuild::close`]), which
+    /// must make `help` return; a failed (or panicked) build vacates
+    /// the slot as in `get_or_try_build`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the builder's error; the cache keeps no trace of the
+    /// failed attempt beyond the charged miss.
+    pub fn get_or_try_build_shared<E>(
+        &self,
+        key: K,
+        epoch: u64,
+        job: impl FnOnce() -> J,
+        build: impl FnOnce(&J) -> Result<V, E>,
+        mut help: impl FnMut(&J),
+    ) -> Result<V, E> {
+        let mut map = loop {
+            let map = lock(&self.map);
+            let probe = match map.get(&key) {
+                Some(&(e, Slot::Ready(ref v))) if e == epoch => {
+                    self.counters.hit();
+                    return Ok(v.clone());
+                }
+                Some(&(e, Slot::Building(ref g, ref j))) if e == epoch => {
+                    Probe::Wait(Arc::clone(g), Arc::clone(j))
+                }
+                // Vacant, or stamped with a stale epoch (including a
+                // stale Building marker): claim the slot and rebuild.
+                Some(_) | None => Probe::Build,
+            };
+            match probe {
+                Probe::Wait(gate, shared) => {
+                    drop(map);
+                    help(&shared);
+                    gate.wait();
+                    // Re-probe: the builder either parked a Ready
+                    // value or failed and vacated the slot.
+                }
+                Probe::Build => break map,
+            }
+        };
+        let shared = Arc::new(job());
+        let gate = Arc::new(Gate::default());
+        map.insert(
+            key,
+            (
+                epoch,
+                Slot::Building(Arc::clone(&gate), Arc::clone(&shared)),
+            ),
+        );
+        drop(map);
+        self.counters.miss();
+        let guard = BuildGuard {
+            cache: self,
+            key,
+            gate,
+            job: Arc::clone(&shared),
+            armed: true,
+        };
+        // Injectable failure between claiming the slot and running the
+        // builder: the guard must vacate the marker and open the gate
+        // during unwind.
+        lcrb_sync::fault::point("family.build");
+        // The build runs outside every lock; on error the guard
+        // vacates the slot and frees the waiters.
+        let value = build(&shared)?;
+        lock(&self.map).insert(key, (epoch, Slot::Ready(value.clone())));
+        guard.finish();
+        Ok(value)
     }
 
     /// Drops every slot (values and in-progress markers alike).
@@ -1142,7 +1217,7 @@ struct GvsKey {
 #[derive(Debug, Default)]
 struct ArtifactCache {
     bridge: FamilyCache<u8, Arc<BridgeEnds>>,
-    sketch: FamilyCache<SketchKey, Arc<SketchIndex>>,
+    sketch: FamilyCache<SketchKey, Arc<SketchIndex>, SketchBuild>,
     celf: CelfCache,
     scbg: FamilyCache<ScbgKey, ScbgSolution>,
     ordering: FamilyCache<OrderingKey, Arc<Vec<NodeId>>>,
@@ -1657,15 +1732,7 @@ impl Solver {
         threads: usize,
         batch_cancel: Option<&CancelToken>,
     ) -> Vec<Result<SolveReport, LcrbError>> {
-        let threads = if threads > 0 {
-            threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
-        .min(requests.len())
-        .max(1);
+        let threads = worker_count(threads).min(requests.len()).max(1);
         if threads == 1 {
             return requests
                 .iter()
@@ -1772,22 +1839,41 @@ impl Solver {
                         min_sketches: params.min_sketches,
                         max_sketches: params.max_sketches,
                     };
-                    // Cancel/deadline stops inside the builder surface
-                    // as errors; the BuildGuard then vacates the
+                    // The claiming request owns the shared build; its
+                    // workers and every same-key waiter generate
+                    // chunks of it. Cancel/deadline stops inside the
+                    // owner surface as errors: the build closes, its
+                    // helpers return, and the BuildGuard vacates the
                     // Building slot and frees same-key waiters —
                     // cancellation is a recovery window exactly like a
-                    // failed build.
-                    self.cache.sketch.get_or_try_build(key, epoch, || {
-                        SketchIndex::build_metered(
-                            &self.instance,
-                            bridge.nodes.clone(),
-                            params,
-                            self.master_seed,
-                            request.max_hops,
-                            meter,
-                        )
-                        .map(Arc::new)
-                    })?
+                    // failed build. The owner borrows the meter
+                    // mutably and a waiter only polls it; a request is
+                    // never both at once.
+                    let meter = RefCell::new(&mut *meter);
+                    self.cache.sketch.get_or_try_build_shared(
+                        key,
+                        epoch,
+                        || {
+                            SketchBuild::new(
+                                &self.instance,
+                                bridge.nodes.clone(),
+                                params,
+                                self.master_seed,
+                                request.max_hops,
+                            )
+                        },
+                        |job| {
+                            self.run_sketch_build(job, request.threads, &mut meter.borrow_mut())
+                                .map(Arc::new)
+                        },
+                        |job| {
+                            // A waiter helps until its own request
+                            // stops, then falls back to the plain wait.
+                            job.help(&mut self.scratch.lease().rr, || {
+                                meter.borrow().poll().is_ok()
+                            });
+                        },
+                    )?
                 };
                 if index.is_truncated() {
                     sketch_truncation = Some((index.sketch_count(), index.sketch_target()));
@@ -1891,6 +1977,25 @@ impl Solver {
             cache_snapshot: self.cache.stats(),
             completion,
             detail: SolveDetail::Greedy(selection),
+        })
+    }
+
+    /// Runs `job` as its owner, with `threads − 1` scoped workers
+    /// helping (`0` = one thread per available core). Every
+    /// participant leases its RR scratch from the session pool.
+    fn run_sketch_build(
+        &self,
+        job: &SketchBuild,
+        threads: usize,
+        meter: &mut WorkMeter,
+    ) -> Result<SketchIndex, LcrbError> {
+        lcrb_sync::thread::scope(|scope| {
+            for _ in 1..worker_count(threads) {
+                // Workers leave when the build closes; the owner's
+                // stop closes it.
+                scope.spawn(|| job.help(&mut self.scratch.lease().rr, || true));
+            }
+            job.run(meter, &mut self.scratch.lease().rr)
         })
     }
 

@@ -15,7 +15,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use lcrb_diffusion::{ScratchPool, SimWorkspace, StopReason, WorkMeter};
+use lcrb_diffusion::{RrScratch, ScratchPool, SimWorkspace, StopReason, WorkMeter};
 use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::NodeId;
 
@@ -115,12 +115,14 @@ pub(crate) enum SigmaBackend<'a> {
 /// Per-worker scratch covering either backend (all parts are empty
 /// until first used, so carrying the unused ones is free): a
 /// [`SimWorkspace`] plus a reusable seed pair for Monte Carlo,
-/// coverage stamps for sketches.
+/// coverage stamps for sketch queries, and RR-sketch generation
+/// scratch for the participants of a sketch-index build.
 #[derive(Debug, Default)]
 pub(crate) struct SigmaScratch {
     ws: SimWorkspace,
     seeds: Option<lcrb_diffusion::SeedSets>,
     coverage: CoverageScratch,
+    pub(crate) rr: RrScratch,
 }
 
 impl SigmaBackend<'_> {
@@ -465,6 +467,16 @@ pub(crate) fn candidate_pool(
     nodes
 }
 
+/// A request's worker-thread count: `threads`, or one per available
+/// core when it is `0`.
+pub(crate) fn worker_count(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+}
+
 /// The initial CELF gain sweep. Cancellation/deadline polls run per
 /// candidate (the simulation cost was already charged whole by the
 /// caller); a stop surfaces as [`LcrbError::Interrupted`] and the
@@ -478,15 +490,7 @@ fn parallel_initial_gains(
     pool: &ScratchPool<SigmaScratch>,
     meter: &WorkMeter,
 ) -> Result<Vec<f64>, LcrbError> {
-    let threads = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-    .min(candidates.len())
-    .max(1);
+    let threads = worker_count(threads).min(candidates.len()).max(1);
 
     if threads == 1 {
         let mut ws = pool.lease();

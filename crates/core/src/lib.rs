@@ -87,4 +87,6 @@ pub use instance::RumorBlockingInstance;
 pub use lcrb_diffusion::{CancelToken, RunBudget, StopReason, WorkMeter};
 pub use objective::{ObjectiveModel, ProtectionObjective};
 pub use scbg::{scbg, scbg_weighted, star_sets, ScbgConfig, ScbgSolution, StarSets};
-pub use sketch_objective::{CoverageScratch, SketchIndex, SketchObjective, SketchParams};
+pub use sketch_objective::{
+    CoverageScratch, SketchBuild, SketchIndex, SketchObjective, SketchParams,
+};

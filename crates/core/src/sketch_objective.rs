@@ -25,10 +25,15 @@
 //! monotone and submodular per sketch, so CELF remains sound on the
 //! sketch objective.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use lcrb_diffusion::{rr_sketch_batch_into, OpoaoRealization, RrScratch, SketchBatch, WorkMeter};
+use lcrb_diffusion::{
+    rr_sketch_batch_into, OpoaoRealization, RrScratch, SketchBatch, StopReason, WorkMeter,
+};
 use lcrb_graph::NodeId;
+use lcrb_sync::{Condvar, Mutex, MutexGuard};
 
 use crate::{LcrbError, RumorBlockingInstance};
 
@@ -178,7 +183,7 @@ impl CoverageScratch {
 /// it (behind an [`Arc`]) across every solve at the same accuracy.
 /// [`SketchObjective::from_index`] re-attaches it to the instance for
 /// querying.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SketchIndex {
     bridge_ends: Vec<NodeId>,
     /// θ: total sketches drawn (stored + always-saved).
@@ -323,6 +328,8 @@ impl SketchIndex {
     /// [`SketchIndex::ci_widening`] quantifies the accuracy loss); a
     /// cancellation or deadline stop abandons the build instead.
     ///
+    /// This is a [`SketchBuild`] with a single participant.
+    ///
     /// # Errors
     ///
     /// [`LcrbError::InvalidSketchParams`] if `params` is out of
@@ -336,54 +343,312 @@ impl SketchIndex {
         max_hops: u32,
         meter: &mut WorkMeter,
     ) -> Result<Self, LcrbError> {
-        params.validate()?;
-        let n = instance.graph().node_count();
-        let csr = instance.snapshot();
-        let rumors = instance.rumor_seeds();
+        SketchBuild::new(instance, bridge_ends, params, master_seed, max_hops)
+            .run(meter, &mut RrScratch::new())
+    }
+}
 
+/// Sketches per unit of work in a [`SketchBuild`]: participants claim
+/// chunks of this many consecutive global sketch indices.
+const CHUNK: u64 = 32;
+
+/// Where a [`SketchBuild`] is in its life; helpers act on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// The owner has not started: helpers wait.
+    Pending,
+    /// Rounds are being generated: helpers claim chunks of the open
+    /// round, or wait for the next one.
+    Running,
+    /// Generation is over — finished, abandoned, or serial (a
+    /// sketch-capped owner): helpers leave.
+    Closed,
+}
+
+/// Work-sharing state of a [`SketchBuild`], behind its leaf lock.
+#[derive(Debug)]
+struct BuildState {
+    phase: Phase,
+    /// The open round's chunk starts `next, next + CHUNK, …` below
+    /// `end` are unclaimed.
+    next: u64,
+    end: u64,
+    /// Chunk starts given back by helpers that unwound mid-chunk.
+    requeued: Vec<u64>,
+    /// Claimed chunks not completed yet.
+    in_flight: usize,
+    /// Completed chunks of the open round by first sketch index, with
+    /// whether the owner's meter already paid for them.
+    done: BTreeMap<u64, (SketchBatch, bool)>,
+}
+
+impl BuildState {
+    fn claim(&mut self) -> Option<Range<u64>> {
+        let start = match self.requeued.pop() {
+            Some(start) => start,
+            None if self.next < self.end => {
+                let start = self.next;
+                self.next = (start + CHUNK).min(self.end);
+                start
+            }
+            None => return None,
+        };
+        self.in_flight += 1;
+        Some(start..(start + CHUNK).min(self.end))
+    }
+
+    fn round_done(&self) -> bool {
+        self.next >= self.end && self.requeued.is_empty() && self.in_flight == 0
+    }
+}
+
+/// Locks the build state, tolerating poison: the state is updated in
+/// single critical sections that cannot panic half-way, so a guard
+/// inherited from a panicked holder is consistent.
+fn lock(m: &Mutex<BuildState>) -> MutexGuard<'_, BuildState> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// One sketch-index build that several threads can work on at once.
+///
+/// The owner calls [`SketchBuild::run`], which drives the adaptive
+/// `(ε, δ)` schedule round by round; any number of other threads may
+/// call [`SketchBuild::help`] on the same (shared) build to generate
+/// chunks of the open round. Each round is split into chunks of
+/// consecutive global sketch indices; the owner waits until every
+/// chunk of a round is done, then merges the chunks in index order —
+/// cover counts, the `p̂` doubling check and the inverted index all
+/// walk the chunks in that order with a running sketch id. Sketch `g`
+/// depends only on `(master_seed, g)`, so the finished
+/// [`SketchIndex`] is bitwise the serial one however the chunks were
+/// shared out.
+///
+/// The state lock is a leaf and is never held while a chunk is
+/// generated. A helper that unwinds mid-chunk hands its chunk back;
+/// an owner that errors, is cancelled or unwinds closes the build,
+/// and helpers return.
+///
+/// # Examples
+///
+/// ```
+/// use lcrb::{RumorBlockingInstance, SketchBuild, SketchIndex, SketchParams, WorkMeter};
+/// use lcrb_community::Partition;
+/// use lcrb_diffusion::RrScratch;
+/// use lcrb_graph::{DiGraph, NodeId};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
+/// let p = Partition::from_labels(vec![0, 0, 1, 1]);
+/// let inst = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)])?;
+/// let ends = vec![NodeId::new(2)];
+/// let job = SketchBuild::new(&inst, ends.clone(), SketchParams::default(), 3, 31);
+/// let shared = std::thread::scope(|s| {
+///     s.spawn(|| job.help(&mut RrScratch::new(), || true));
+///     job.run(&mut WorkMeter::unlimited(), &mut RrScratch::new())
+/// })?;
+/// let serial = SketchIndex::build(&inst, ends, SketchParams::default(), 3, 31)?;
+/// assert_eq!(shared, serial);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct SketchBuild {
+    instance: RumorBlockingInstance,
+    bridge_ends: Vec<NodeId>,
+    params: SketchParams,
+    master_seed: u64,
+    max_hops: u32,
+    state: Mutex<BuildState>,
+    /// Signals round openings, completed rounds, re-queued chunks and
+    /// the close.
+    cv: Condvar,
+}
+
+impl SketchBuild {
+    /// A build of the index [`SketchIndex::build`] would return for
+    /// the same arguments. Nothing is sampled until
+    /// [`SketchBuild::run`]; `params` are validated there.
+    #[must_use]
+    pub fn new(
+        instance: &RumorBlockingInstance,
+        bridge_ends: Vec<NodeId>,
+        params: SketchParams,
+        master_seed: u64,
+        max_hops: u32,
+    ) -> Self {
+        SketchBuild {
+            // xtask-allow: bufclone -- once per build: shares the graph snapshots (Arc) and copies only the rumor seeds
+            instance: instance.clone(),
+            bridge_ends,
+            params,
+            master_seed,
+            max_hops,
+            state: Mutex::new(BuildState {
+                phase: Phase::Pending,
+                next: 0,
+                end: 0,
+                // xtask-allow: hotpath -- one empty queue per build; grows only when a helper unwinds
+                requeued: Vec::new(),
+                in_flight: 0,
+                // xtask-allow: hotpath -- one map per build, holding at most one round of chunks
+                done: BTreeMap::new(),
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Ends generation for every helper (they return) and wakes them.
+    /// [`SketchBuild::run`] closes the build when it ends; an owner
+    /// that never gets to run must close it itself.
+    pub(crate) fn close(&self) {
+        lock(&self.state).phase = Phase::Closed;
+        self.cv.notify_all();
+    }
+
+    /// Generates the global sketches `range` into a fresh batch,
+    /// charging `meter` one checkpoint per sketch. Returns the batch
+    /// and whether the whole range was drawn (a sketch cap can stop
+    /// it short).
+    fn generate(
+        &self,
+        range: Range<u64>,
+        meter: &mut WorkMeter,
+        scratch: &mut RrScratch,
+    ) -> Result<(SketchBatch, bool), StopReason> {
+        let ends = &self.bridge_ends;
+        let seed = self.master_seed;
         let mut batch = SketchBatch::new();
-        let mut scratch = RrScratch::new();
+        let drawn = rr_sketch_batch_into(
+            self.instance.snapshot(),
+            self.instance.rumor_seeds(),
+            |g| {
+                let target = ends[(mix(seed, 2 * g) % ends.len() as u64) as usize];
+                (target, OpoaoRealization::new(mix(seed, 2 * g + 1)))
+            },
+            range.start,
+            range.end,
+            self.max_hops,
+            scratch,
+            &mut batch,
+            meter,
+        )?;
+        Ok((batch, drawn == range.end - range.start))
+    }
+
+    /// The owner's part of one round: opens global sketches
+    /// `start..end` to every participant, claims and generates chunks
+    /// on its own meter until none are left, then waits for the
+    /// helpers' in-flight chunks. Returns the round's chunks in index
+    /// order, each with whether `meter` already paid for it. Stops
+    /// early at a sketch-cap stop (serial builds only), with the
+    /// generated prefix.
+    fn drive_round(
+        &self,
+        start: u64,
+        end: u64,
+        meter: &mut WorkMeter,
+        scratch: &mut RrScratch,
+    ) -> Result<Vec<(SketchBatch, bool)>, StopReason> {
+        let mut st = lock(&self.state);
+        st.phase = if meter.limits_sketches() {
+            // A capped build is serial, so a cap truncates exactly
+            // the serial prefix: helpers leave.
+            Phase::Closed
+        } else {
+            Phase::Running
+        };
+        st.next = start;
+        st.end = end;
+        self.cv.notify_all();
+        loop {
+            if let Some(range) = st.claim() {
+                drop(st);
+                let first = range.start;
+                let (batch, whole) = self.generate(range, meter, scratch)?;
+                st = lock(&self.state);
+                st.in_flight -= 1;
+                st.done.insert(first, (batch, true));
+                if !whole {
+                    // Only a sketch-capped meter stops short, and
+                    // capped builds are serial: nothing else of the
+                    // round is claimed, and the prefix is complete.
+                    break;
+                }
+            } else if st.round_done() {
+                break;
+            } else {
+                st = self
+                    .cv
+                    .wait(st)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+        }
+        Ok(std::mem::take(&mut st.done).into_values().collect())
+    }
+
+    /// Runs the build as its owner and returns the finished index.
+    ///
+    /// The owner generates chunks on `meter` like any participant and
+    /// is charged θ sketches in all, helpers' chunks included (those
+    /// are charged when merged). A sketch-capped `meter` makes the
+    /// build serial, so a cap truncates exactly the prefix
+    /// [`SketchIndex::build_metered`] draws. Call once per build.
+    ///
+    /// # Errors
+    ///
+    /// [`LcrbError::InvalidSketchParams`] if the params are out of
+    /// range; [`LcrbError::Interrupted`] when a cancellation or
+    /// deadline poll fires. Either way the build closes and helpers
+    /// return.
+    pub fn run(
+        &self,
+        meter: &mut WorkMeter,
+        scratch: &mut RrScratch,
+    ) -> Result<SketchIndex, LcrbError> {
+        // Closes the build on every exit, unwinding included.
+        let close = CloseOnDrop(self);
+        let params = self.params;
+        params.validate()?;
+        let n = self.instance.graph().node_count();
         // xtask-allow: hotpath -- build-phase singleton-coverage counts, one u32 per node
         let mut cover = vec![0u32; n];
         // xtask-allow: hotpath -- build-phase rumor-seed mask for the p̂ scan
         let mut is_rumor = vec![false; n];
-        for &r in rumors {
+        for &r in self.instance.rumor_seeds() {
             is_rumor[r.index()] = true;
         }
 
+        // xtask-allow: hotpath -- one entry per chunk, once per build
+        let mut chunks: Vec<SketchBatch> = Vec::new();
+        let mut generated = 0u64;
+        let mut always_saved = 0u64;
         let mut truncated = false;
         let mut schedule_target = 0u64;
-        if !bridge_ends.is_empty() {
-            let mut theta = params.floor();
-            let mut generated = 0usize;
-            let mut first_stored = 0usize;
+        if !self.bridge_ends.is_empty() {
+            let mut theta = params.floor() as u64;
+            let interrupted = |reason| LcrbError::Interrupted { reason };
             loop {
-                schedule_target = theta as u64;
-                let drawn = rr_sketch_batch_into(
-                    csr,
-                    rumors,
-                    |g| {
-                        let target = bridge_ends
-                            [(mix(master_seed, 2 * g) % bridge_ends.len() as u64) as usize];
-                        (target, OpoaoRealization::new(mix(master_seed, 2 * g + 1)))
-                    },
-                    generated as u64,
-                    theta as u64,
-                    max_hops,
-                    &mut scratch,
-                    &mut batch,
-                    meter,
-                )
-                .map_err(|reason| LcrbError::Interrupted { reason })?;
-                generated += drawn as usize;
-                truncated = generated < theta;
-                for s in first_stored..batch.set_count() {
-                    for &u in batch.members(s) {
-                        cover[u.index()] += 1;
+                schedule_target = theta;
+                let round = self
+                    .drive_round(generated, theta, meter, scratch)
+                    .map_err(interrupted)?;
+                for (batch, charged) in round {
+                    if !charged {
+                        for _ in 0..batch.total() {
+                            meter.charge_sketch().map_err(interrupted)?;
+                        }
                     }
+                    for s in 0..batch.set_count() {
+                        for &u in batch.members(s) {
+                            cover[u.index()] += 1;
+                        }
+                    }
+                    generated += batch.total();
+                    always_saved += batch.always_saved();
+                    chunks.push(batch);
                 }
-                first_stored = batch.set_count();
-                if truncated || theta >= params.max_sketches {
+                truncated = generated < theta;
+                if truncated || theta >= params.max_sketches as u64 {
                     break;
                 }
                 // Best observed placeable singleton coverage p̂ (rumor
@@ -395,16 +660,19 @@ impl SketchIndex {
                     .map(|(&c, _)| c)
                     .max()
                     .unwrap_or(0);
-                let p_hat = ((batch.always_saved() + u64::from(best)).max(1)) as f64 / theta as f64;
+                let p_hat = ((always_saved + u64::from(best)).max(1)) as f64 / theta as f64;
                 if theta as f64 >= params.required_for(p_hat) {
                     break;
                 }
-                theta = (theta * 2).min(params.max_sketches);
+                theta = (theta * 2).min(params.max_sketches as u64);
             }
         }
+        // Generation is over: let helpers go before the inversion.
+        drop(close);
 
         // Invert: CSR index node -> ids of stored sketches containing
-        // it. `cover` already holds the per-node counts. Runs for
+        // it, walking the chunks in index order with a running sketch
+        // id. `cover` already holds the per-node counts. Runs for
         // truncated builds too: the generated prefix is a valid
         // (smaller) sample.
         // xtask-allow: hotpath -- build-phase index construction, once per objective
@@ -416,28 +684,134 @@ impl SketchIndex {
         let mut index_ids = vec![0u32; index_offsets[n] as usize];
         // Reuse `cover` as per-node write cursors.
         cover.fill(0);
-        for s in 0..batch.set_count() {
-            for &u in batch.members(s) {
-                let slot = index_offsets[u.index()] + cover[u.index()];
-                index_ids[slot as usize] = s as u32;
-                cover[u.index()] += 1;
+        let mut id = 0u32;
+        for batch in &chunks {
+            for s in 0..batch.set_count() {
+                for &u in batch.members(s) {
+                    let slot = index_offsets[u.index()] + cover[u.index()];
+                    index_ids[slot as usize] = id;
+                    cover[u.index()] += 1;
+                }
+                id += 1;
             }
         }
 
         Ok(SketchIndex {
-            bridge_ends,
-            total: batch.total(),
-            always_saved: batch.always_saved(),
-            set_count: batch.set_count(),
+            // xtask-allow: bufclone -- once per build: the index owns its bridge ends
+            bridge_ends: self.bridge_ends.clone(),
+            total: generated,
+            always_saved,
+            set_count: id as usize,
             target: if truncated {
                 schedule_target
             } else {
-                batch.total()
+                generated
             },
             truncated,
             index_offsets,
             index_ids,
         })
+    }
+
+    /// Works on the build as a helper: generates chunks of the open
+    /// round — waiting across round boundaries — until the build
+    /// closes or `keep_going` (polled before each claim) returns
+    /// `false`. Returns the number of chunks generated.
+    ///
+    /// Helpers charge nothing: the owner's meter pays for every
+    /// sketch. If the helper unwinds mid-chunk, the chunk goes back to
+    /// the queue for another participant. A helper that arrives before
+    /// the owner's [`SketchBuild::run`] waits for it.
+    pub fn help(&self, scratch: &mut RrScratch, mut keep_going: impl FnMut() -> bool) -> usize {
+        // Never stops: sketches are charged to the owner at merge.
+        let mut meter = WorkMeter::unlimited();
+        let mut chunks = 0;
+        let mut filed: Option<(Claim<'_>, SketchBatch)> = None;
+        loop {
+            let go = keep_going();
+            let mut st = lock(&self.state);
+            // File the last chunk and claim the next in one critical
+            // section.
+            if let Some((claim, batch)) = filed.take() {
+                claim.file(&mut st, batch);
+                chunks += 1;
+            }
+            if st.phase == Phase::Closed || !go {
+                return chunks;
+            }
+            let range = if st.phase == Phase::Running {
+                st.claim()
+            } else {
+                None
+            };
+            let Some(range) = range else {
+                drop(
+                    self.cv
+                        .wait(st)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner),
+                );
+                continue;
+            };
+            drop(st);
+            let claim = Claim {
+                build: self,
+                start: range.start,
+                filed: false,
+            };
+            // Injectable failure while the chunk is claimed: the claim
+            // guard must hand it back during unwind.
+            lcrb_sync::fault::point("sketch.chunk");
+            // An unlimited meter cannot stop generation; were it to,
+            // the guard would re-queue the chunk.
+            if let Ok((batch, _)) = self.generate(range, &mut meter, scratch) {
+                filed = Some((claim, batch));
+            }
+        }
+    }
+}
+
+/// Closes a [`SketchBuild`] when its owner's run ends, however it
+/// ends.
+struct CloseOnDrop<'a>(&'a SketchBuild);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// A helper's claim on one chunk: filing it stores the batch; a drop
+/// without filing (an unwinding helper) re-queues the chunk.
+struct Claim<'a> {
+    build: &'a SketchBuild,
+    start: u64,
+    filed: bool,
+}
+
+impl Claim<'_> {
+    /// Files the chunk's batch under the state lock `st`; wakes the
+    /// owner if this completes the round.
+    fn file(mut self, st: &mut BuildState, batch: SketchBatch) {
+        self.filed = true;
+        st.in_flight -= 1;
+        if st.phase == Phase::Running {
+            st.done.insert(self.start, (batch, false));
+            if st.round_done() {
+                self.build.cv.notify_all();
+            }
+        }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if !self.filed {
+            let mut st = lock(&self.build.state);
+            st.in_flight -= 1;
+            st.requeued.push(self.start);
+            drop(st);
+            self.build.cv.notify_all();
+        }
     }
 }
 
@@ -564,6 +938,7 @@ impl<'a> SketchObjective<'a> {
 mod tests {
     use super::*;
     use lcrb_community::Partition;
+    use lcrb_diffusion::{CancelToken, RunBudget};
     use lcrb_graph::{generators, DiGraph};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -764,6 +1139,194 @@ mod tests {
         };
         let obj2 = SketchObjective::build(&inst, vec![NodeId::new(2)], tight, 0, 31).unwrap();
         assert!(obj2.sketch_count() > obj.sketch_count());
+    }
+
+    /// Runs `job` as owner on `meter` while each `keep_going` closure
+    /// drives one helper thread; returns the owner's result and the
+    /// chunks each helper generated.
+    fn run_shared<F: FnMut() -> bool + Send>(
+        job: &SketchBuild,
+        meter: &mut WorkMeter,
+        helpers: Vec<F>,
+    ) -> (Result<SketchIndex, LcrbError>, Vec<usize>) {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = helpers
+                .into_iter()
+                .map(|keep_going| s.spawn(|| job.help(&mut RrScratch::new(), keep_going)))
+                .collect();
+            let index = job.run(meter, &mut RrScratch::new());
+            let chunks = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            (index, chunks)
+        })
+    }
+
+    /// Several rounds (floor 599, not a multiple of the chunk size,
+    /// doubling once).
+    fn multi_round_params() -> SketchParams {
+        SketchParams {
+            epsilon: 0.05,
+            delta: 0.1,
+            min_sketches: 40,
+            max_sketches: 1200,
+        }
+    }
+
+    #[test]
+    fn shared_build_equals_the_serial_build_at_any_participant_count() {
+        let inst = community_instance(21);
+        let b = crate::find_bridge_ends(&inst, crate::BridgeEndRule::WithinCommunity);
+        for params in [SketchParams::default(), multi_round_params()] {
+            let serial = SketchIndex::build(&inst, b.nodes.clone(), params, 5, 31).unwrap();
+            assert!(
+                serial.sketch_count() > params.floor() as u64,
+                "fixture needs two rounds"
+            );
+            for helpers in 0..3 {
+                let job = SketchBuild::new(&inst, b.nodes.clone(), params, 5, 31);
+                let mut meter = WorkMeter::unlimited();
+                let (index, _) = run_shared(&job, &mut meter, vec![|| true; helpers]);
+                assert_eq!(index.unwrap(), serial, "{} participants", helpers + 1);
+                // The owner pays for every sketch, helpers' included.
+                assert_eq!(meter.spent().1, serial.sketch_count());
+            }
+        }
+    }
+
+    #[test]
+    fn shared_build_ignores_late_and_leaving_helpers() {
+        let inst = community_instance(3);
+        let b = crate::find_bridge_ends(&inst, crate::BridgeEndRule::WithinCommunity);
+        let params = multi_round_params();
+        let serial = SketchIndex::build(&inst, b.nodes.clone(), params, 9, 31).unwrap();
+        assert!(
+            serial.sketch_count() > params.floor() as u64,
+            "fixture needs two rounds"
+        );
+
+        // A helper that joins only once round one is merged and round
+        // two is open.
+        let job = SketchBuild::new(&inst, b.nodes.clone(), params, 9, 31);
+        let late = std::thread::scope(|s| {
+            let helper = s.spawn(|| {
+                while lock(&job.state).end <= params.floor() as u64 {
+                    std::thread::yield_now();
+                }
+                job.help(&mut RrScratch::new(), || true)
+            });
+            let index = job.run(&mut WorkMeter::unlimited(), &mut RrScratch::new());
+            helper.join().unwrap();
+            index
+        });
+        assert_eq!(late.unwrap(), serial);
+
+        // A helper that leaves after one chunk, beside one that stays.
+        let job = SketchBuild::new(&inst, b.nodes.clone(), params, 9, 31);
+        let mut polls = 0;
+        let leaving = move || {
+            polls += 1;
+            polls <= 1
+        };
+        let (index, chunks) = run_shared(
+            &job,
+            &mut WorkMeter::unlimited(),
+            vec![
+                Box::new(leaving) as Box<dyn FnMut() -> bool + Send>,
+                Box::new(|| true),
+            ],
+        );
+        assert_eq!(index.unwrap(), serial);
+        assert!(
+            chunks[0] <= 1,
+            "the leaving helper took {} chunks",
+            chunks[0]
+        );
+    }
+
+    #[test]
+    fn shared_build_handles_small_and_degenerate_samples() {
+        let below_one_chunk = SketchParams {
+            min_sketches: 20,
+            max_sketches: 20,
+            ..SketchParams::default()
+        };
+        let ragged = SketchParams {
+            min_sketches: 70,
+            max_sketches: 150,
+            ..SketchParams::default()
+        };
+        // Rumor in {0,1}, bridge end 3 unreachable: every sketch is
+        // always saved and none is stored.
+        let g = DiGraph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+        let p = Partition::from_labels(vec![0, 0, 1, 1]);
+        let saved = RumorBlockingInstance::new(g, p, 0, vec![NodeId::new(0)]).unwrap();
+        let inst = community_instance(9);
+        let b = crate::find_bridge_ends(&inst, crate::BridgeEndRule::WithinCommunity).nodes;
+        let cases = [
+            (&inst, b.clone(), below_one_chunk),
+            (&inst, b, ragged),
+            (&inst, Vec::new(), SketchParams::default()),
+            (&saved, vec![NodeId::new(3)], ragged),
+        ];
+        for (inst, ends, params) in cases {
+            let serial = SketchIndex::build(inst, ends.clone(), params, 4, 31).unwrap();
+            for helpers in 1..3 {
+                let job = SketchBuild::new(inst, ends.clone(), params, 4, 31);
+                let (index, _) =
+                    run_shared(&job, &mut WorkMeter::unlimited(), vec![|| true; helpers]);
+                assert_eq!(index.unwrap(), serial, "{params:?}, {} ends", ends.len());
+            }
+        }
+    }
+
+    #[test]
+    fn shared_build_with_a_capped_owner_is_serial_and_truncates_the_same_prefix() {
+        let inst = community_instance(21);
+        let b = crate::find_bridge_ends(&inst, crate::BridgeEndRule::WithinCommunity);
+        let capped = || WorkMeter::new(RunBudget::unlimited().with_max_sketches(100), None, None);
+        let serial = SketchIndex::build_metered(
+            &inst,
+            b.nodes.clone(),
+            SketchParams::default(),
+            5,
+            31,
+            &mut capped(),
+        )
+        .unwrap();
+        assert!(serial.is_truncated());
+        assert_eq!(serial.sketch_count(), 100);
+        let job = SketchBuild::new(&inst, b.nodes.clone(), SketchParams::default(), 5, 31);
+        let (index, chunks) = run_shared(&job, &mut capped(), vec![|| true]);
+        assert_eq!(index.unwrap(), serial);
+        assert_eq!(chunks, vec![0], "a capped build takes no help");
+    }
+
+    #[test]
+    fn shared_build_releases_its_helpers_when_the_owner_stops() {
+        let inst = community_instance(21);
+        let b = crate::find_bridge_ends(&inst, crate::BridgeEndRule::WithinCommunity);
+        let token = CancelToken::new();
+        token.cancel();
+        let mut meter = WorkMeter::new(RunBudget::unlimited(), Some(token), None);
+        let job = SketchBuild::new(&inst, b.nodes.clone(), SketchParams::default(), 5, 31);
+        let (index, _) = run_shared(&job, &mut meter, vec![|| true, || true]);
+        assert!(matches!(
+            index.unwrap_err(),
+            LcrbError::Interrupted {
+                reason: StopReason::Cancelled
+            }
+        ));
+        // Invalid params close the build the same way.
+        let bad = SketchParams {
+            epsilon: 0.0,
+            ..SketchParams::default()
+        };
+        let job = SketchBuild::new(&inst, b.nodes, bad, 5, 31);
+        let (index, chunks) = run_shared(&job, &mut WorkMeter::unlimited(), vec![|| true]);
+        assert!(matches!(
+            index.unwrap_err(),
+            LcrbError::InvalidSketchParams { .. }
+        ));
+        assert_eq!(chunks, vec![0]);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 use lcrb::setcover::{greedy_set_cover, harmonic};
 use lcrb::{
     find_bridge_ends, max_degree_ordering, protectors_to_cover_all, scbg, Algorithm, BridgeEndRule,
-    ProtectionObjective, RumorBlockingInstance, ScbgConfig, SolveDetail, SolveRequest, Solver,
+    ProtectionObjective, RumorBlockingInstance, ScbgConfig, SketchBuild, SketchIndex, SketchParams,
+    SolveDetail, SolveRequest, Solver, WorkMeter,
 };
 use lcrb_community::Partition;
-use lcrb_diffusion::DoamModel;
+use lcrb_diffusion::{DoamModel, RrScratch};
 use lcrb_graph::{generators, DiGraph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -313,5 +314,35 @@ proptest! {
                 .collect();
             prop_assert_eq!(&batched, &serial);
         }
+    }
+
+    /// A sketch-index build shared by any number of participants is
+    /// bitwise the serial build: every field, σ̂ inputs included.
+    #[test]
+    fn shared_sketch_build_is_bitwise_the_serial_build(
+        a in 8usize..30,
+        b in 8usize..30,
+        seed in 0u64..10_000,
+        helpers in 0usize..3,
+        min_sketches in 1usize..200,
+        extra in 0usize..400,
+    ) {
+        let inst = planted_instance(a, b, seed);
+        let ends = find_bridge_ends(&inst, BridgeEndRule::WithinCommunity).nodes;
+        let params = SketchParams {
+            min_sketches,
+            max_sketches: min_sketches + extra,
+            ..SketchParams::default()
+        };
+        let serial = SketchIndex::build(&inst, ends.clone(), params, seed, 31).unwrap();
+        let job = SketchBuild::new(&inst, ends, params, seed, 31);
+        let shared = std::thread::scope(|s| {
+            for _ in 0..helpers {
+                s.spawn(|| job.help(&mut RrScratch::new(), || true));
+            }
+            job.run(&mut WorkMeter::unlimited(), &mut RrScratch::new())
+        })
+        .unwrap();
+        prop_assert_eq!(shared, serial);
     }
 }

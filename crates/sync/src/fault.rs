@@ -18,6 +18,8 @@
 //! |                 | before the trajectory is advanced/stored          |
 //! | `scratch.lease` | in `ScratchPool::lease`, after the scratch value  |
 //! |                 | is removed from the free list                     |
+//! | `sketch.chunk`  | in `SketchBuild::help`, after a helper claims a   |
+//! |                 | chunk of sketches, before it generates them       |
 
 /// Marker message prefix carried by every injected-fault panic.
 pub const FAULT_PANIC_PREFIX: &str = "lcrb-sync injected fault";

@@ -15,11 +15,15 @@
 //! `solve_many_threaded` is what's being explored.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use lcrb::engine::{Algorithm, Completion, FamilyCache, Gate, SolveRequest, Solver};
-use lcrb::{CancelToken, LcrbError, RumorBlockingInstance, RunBudget, StopReason};
+use lcrb::{
+    find_bridge_ends, BridgeEndRule, CancelToken, LcrbError, RumorBlockingInstance, RunBudget,
+    SketchBuild, SketchIndex, SketchParams, StopReason, WorkMeter,
+};
 use lcrb_community::Partition;
-use lcrb_diffusion::ScratchPool;
+use lcrb_diffusion::{RrScratch, ScratchPool};
 use lcrb_graph::{DiGraph, NodeId};
 use lcrb_sync::sched::{self, Config};
 use lcrb_sync::{thread, Mutex};
@@ -483,4 +487,264 @@ fn degraded_parking_under_concurrent_solves_stays_prefix_consistent() {
     })
     .unwrap_or_else(|failure| panic!("degraded-parking exploration failed: {failure}"));
     assert_eq!(exploration.schedules, 2);
+}
+
+/// Two adaptive rounds on the tiny instance: `[0, 40)` in two chunks,
+/// then `[40, 64)` in one — the smallest build where a helper can
+/// claim a chunk and cross a round boundary, so exhaustive DFS over
+/// an owner and a helper stays tractable.
+const HELPED_ROUNDS: SketchParams = SketchParams {
+    epsilon: 0.3,
+    delta: 0.3,
+    min_sketches: 40,
+    max_sketches: 64,
+};
+
+/// One round of one chunk: small enough to explore the cache slot
+/// protocol around the build exhaustively.
+const ONE_CHUNK: SketchParams = SketchParams {
+    min_sketches: 32,
+    max_sketches: 32,
+    ..HELPED_ROUNDS
+};
+
+fn tiny_bridge_ends(inst: &RumorBlockingInstance) -> Vec<NodeId> {
+    find_bridge_ends(inst, BridgeEndRule::WithinCommunity).nodes
+}
+
+/// The serial reference build every shared build must equal.
+fn serial_sketch_index(params: SketchParams) -> SketchIndex {
+    let inst = tiny_instance();
+    SketchIndex::build(&inst, tiny_bridge_ends(&inst), params, 3, 6).expect("valid params")
+}
+
+type SketchFamily = FamilyCache<u8, Arc<SketchIndex>, SketchBuild>;
+
+/// One same-key probe of a shared sketch family: owner on `meter` if
+/// it claims the slot, helper while `keep_going` holds otherwise.
+fn probe_sketch_family(
+    cache: &SketchFamily,
+    inst: &RumorBlockingInstance,
+    params: SketchParams,
+    meter: impl FnOnce() -> WorkMeter,
+    keep_going: impl FnMut() -> bool + Copy,
+    builds: &AtomicU64,
+) -> Result<Arc<SketchIndex>, LcrbError> {
+    cache.get_or_try_build_shared(
+        7,
+        0,
+        || SketchBuild::new(inst, tiny_bridge_ends(inst), params, 3, 6),
+        |job| {
+            builds.fetch_add(1, Ordering::Relaxed);
+            job.run(&mut meter(), &mut RrScratch::new()).map(Arc::new)
+        },
+        |job| {
+            job.help(&mut RrScratch::new(), keep_going);
+        },
+    )
+}
+
+/// Owner and helper on the real shared sketch build, under every
+/// schedule: the index equals the serial build, the owner pays for
+/// every sketch, and no wakeup is lost at the round boundary (a lost
+/// one leaves the helper parked — a reported deadlock).
+#[test]
+fn dfs_shared_sketch_build_equals_the_serial_build_under_every_schedule() {
+    let serial = serial_sketch_index(HELPED_ROUNDS);
+    assert_eq!(serial.sketch_count(), 64, "fixture must take two rounds");
+    let inst = tiny_instance();
+    let helped = AtomicU64::new(0);
+    let exploration = sched::explore_dfs(&Config::default(), || {
+        let job = SketchBuild::new(&inst, tiny_bridge_ends(&inst), HELPED_ROUNDS, 3, 6);
+        thread::scope(|scope| {
+            let helper = scope.spawn(|| job.help(&mut RrScratch::new(), || true));
+            let owner = scope.spawn(|| {
+                let mut meter = WorkMeter::unlimited();
+                let index = job.run(&mut meter, &mut RrScratch::new());
+                (index, meter.spent().1)
+            });
+            let (index, charged) = owner.join().expect("owner");
+            assert_eq!(index.expect("no error"), serial);
+            assert_eq!(charged, serial.sketch_count());
+            if helper.join().expect("helper") > 0 {
+                helped.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    })
+    .expect("the shared build must be wakeup-safe and exact under every schedule");
+    assert!(exploration.complete);
+    assert!(
+        helped.load(Ordering::Relaxed) > 0,
+        "no schedule let the helper generate a chunk"
+    );
+}
+
+/// The same build behind a real `FamilyCache` slot: two same-key
+/// probes build the index once — one owns it, the other helps and
+/// then hits — under every seeded schedule.
+#[test]
+fn shared_sketch_family_builds_once_per_key_and_epoch() {
+    let serial = serial_sketch_index(HELPED_ROUNDS);
+    let inst = tiny_instance();
+    let exploration = sched::explore_seeds(&Config::default(), &seed_corpus(), || {
+        let cache = SketchFamily::default();
+        let builds = AtomicU64::new(0);
+        thread::scope(|scope| {
+            let probe = || {
+                probe_sketch_family(
+                    &cache,
+                    &inst,
+                    HELPED_ROUNDS,
+                    WorkMeter::unlimited,
+                    || true,
+                    &builds,
+                )
+            };
+            let handles = [scope.spawn(probe), scope.spawn(probe)];
+            for h in handles {
+                let index = h.join().expect("no panic").expect("no error");
+                assert_eq!(*index, serial);
+            }
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "duplicate build");
+        let counters = cache.counter_snapshot();
+        assert_eq!((counters.misses, counters.hits), (1, 1));
+    })
+    .unwrap_or_else(|failure| panic!("shared sketch family exploration failed: {failure}"));
+    assert_eq!(exploration.schedules, seed_corpus().len());
+}
+
+/// A helper that panics mid-chunk (injected at `sketch.chunk`) hands
+/// its chunk back; the owner generates it and the index still equals
+/// the serial build.
+#[test]
+fn dfs_helper_panic_at_sketch_chunk_requeues_the_chunk() {
+    let serial = serial_sketch_index(HELPED_ROUNDS);
+    let inst = tiny_instance();
+    let fired = AtomicU64::new(0);
+    let exploration = sched::explore_dfs(&Config::default(), || {
+        sched::arm_fault("sketch.chunk", 1);
+        let job = SketchBuild::new(&inst, tiny_bridge_ends(&inst), HELPED_ROUNDS, 3, 6);
+        thread::scope(|scope| {
+            let helper = scope.spawn(|| job.help(&mut RrScratch::new(), || true));
+            let owner = scope.spawn(|| job.run(&mut WorkMeter::unlimited(), &mut RrScratch::new()));
+            let index = owner.join().expect("the owner never panics");
+            assert_eq!(index.expect("no error"), serial);
+            if let Err(payload) = helper.join() {
+                let msg = sched::payload_message(payload.as_ref());
+                assert!(sched::is_fault_panic(&msg), "unexpected panic: {msg}");
+                fired.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    })
+    .expect("a re-queued chunk must be regenerated under every schedule");
+    assert!(exploration.complete);
+    assert!(
+        fired.load(Ordering::Relaxed) > 0,
+        "no schedule let the helper claim a chunk"
+    );
+}
+
+/// An owner whose request is cancelled abandons the shared build: its
+/// helper is freed, the slot is vacated, and the waiter retries as
+/// owner at the cost of exactly one extra miss.
+#[test]
+fn dfs_cancelled_sketch_owner_frees_its_helper_and_vacates_the_slot() {
+    let serial = serial_sketch_index(ONE_CHUNK);
+    let inst = tiny_instance();
+    let exploration = sched::explore_dfs(&Config::default(), || {
+        let cache = SketchFamily::default();
+        let builds = AtomicU64::new(0);
+        let token = CancelToken::new();
+        token.cancel();
+        thread::scope(|scope| {
+            let cancelled = scope.spawn(|| {
+                let meter = || WorkMeter::new(RunBudget::unlimited(), Some(token.clone()), None);
+                // As a waiter, its own stopped meter sends it straight
+                // to the plain wait.
+                probe_sketch_family(&cache, &inst, ONE_CHUNK, meter, || false, &builds)
+            });
+            let clean = scope.spawn(|| {
+                probe_sketch_family(
+                    &cache,
+                    &inst,
+                    ONE_CHUNK,
+                    WorkMeter::unlimited,
+                    || true,
+                    &builds,
+                )
+            });
+            let clean = clean.join().expect("no panic").expect("clean build");
+            assert_eq!(*clean, serial);
+            match cancelled.join().expect("no panic") {
+                Err(LcrbError::Interrupted {
+                    reason: StopReason::Cancelled,
+                }) => assert_eq!(cache.counter_snapshot().misses, 2),
+                Ok(index) => {
+                    assert_eq!(*index, serial);
+                    assert_eq!(cache.counter_snapshot().misses, 1);
+                }
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        });
+        let counters = cache.counter_snapshot();
+        assert_eq!(builds.load(Ordering::Relaxed), counters.misses);
+        let hit = probe_sketch_family(
+            &cache,
+            &inst,
+            ONE_CHUNK,
+            WorkMeter::unlimited,
+            || true,
+            &builds,
+        );
+        assert_eq!(*hit.expect("hit"), serial);
+        assert_eq!(cache.counter_snapshot().hits, counters.hits + 1);
+    })
+    .expect("cancelled-owner recovery must hold under every schedule");
+    assert!(exploration.schedules > 1);
+    assert!(exploration.complete);
+}
+
+/// An owner that panics after claiming the slot but before its build
+/// starts (injected at `family.build`) still closes the shared build:
+/// a helper already waiting on it is freed, retries as owner, and
+/// exactly one extra miss is charged.
+#[test]
+fn injected_sketch_owner_panic_frees_its_helper_and_charges_one_extra_miss() {
+    let serial = serial_sketch_index(ONE_CHUNK);
+    let inst = tiny_instance();
+    let exploration = sched::explore_dfs(&Config::default(), || {
+        sched::arm_fault("family.build", 1);
+        let cache = SketchFamily::default();
+        let builds = AtomicU64::new(0);
+        thread::scope(|scope| {
+            let probe = || {
+                probe_sketch_family(
+                    &cache,
+                    &inst,
+                    ONE_CHUNK,
+                    WorkMeter::unlimited,
+                    || true,
+                    &builds,
+                )
+            };
+            let results = [scope.spawn(probe).join(), scope.spawn(probe).join()];
+            let mut faulted = 0;
+            for r in results {
+                match r {
+                    Ok(index) => assert_eq!(*index.expect("no error"), serial),
+                    Err(payload) => {
+                        let msg = sched::payload_message(payload.as_ref());
+                        assert!(sched::is_fault_panic(&msg), "unexpected panic: {msg}");
+                        faulted += 1;
+                    }
+                }
+            }
+            assert_eq!(faulted, 1, "exactly the armed slot claim panics");
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.counter_snapshot().misses, 2);
+    })
+    .expect("owner-panic recovery must hold under every schedule");
+    assert!(exploration.schedules > 1);
 }

@@ -21,7 +21,11 @@
 //!    interleaving never leak into the answers;
 //! 5. a batch of *identical* CELF requests racing on one session
 //!    builds the trajectory exactly once (single-builder/waiters),
-//!    and every waiter gets the builder's bits.
+//!    and every waiter gets the builder's bits;
+//! 6. cold same-key sketch solves racing on one session share one
+//!    sketch-index build — the owner, its `threads − 1` workers and
+//!    the waiters all generate chunks of it — and the answers are the
+//!    serial ones at every `SolveRequest::threads` in {0, 1, 3}.
 //!
 //! "Bitwise" means protector identity **and** the `f64` σ̂ history
 //! compared via `to_bits` — no tolerance. Fingerprints deliberately
@@ -195,6 +199,45 @@ proptest! {
                 reference.get(&budget).expect("reference covers every budget"),
                 &fingerprint(report)
             );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn concurrent_cold_sketch_builds_match_serial_at_any_thread_count(
+        seed in 0u64..256,
+        budgets in proptest::collection::vec(1usize..5, 2..4),
+        ti in 0usize..3,
+    ) {
+        let threads = [0usize, 1, 3][ti];
+        let est = Estimator::Sketch(SketchParams::default());
+        // Distinct pools keep the CELF keys apart, so the requests
+        // share only the sketch build: one owns it, the rest wait on
+        // it and help.
+        let batch: Vec<SolveRequest> = budgets
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| SolveRequest {
+                candidates: CandidatePool::BackwardRadius(1 + i as u32),
+                ..request(b, threads, est)
+            })
+            .collect();
+        // Reference: the same requests, serial and single-threaded.
+        let serial = session(seed);
+        let reference: Vec<_> = batch
+            .iter()
+            .map(|r| {
+                let report = serial.solve(&SolveRequest { threads: 1, ..r.clone() });
+                fingerprint(&report.expect("valid request"))
+            })
+            .collect();
+        let solver = session(seed);
+        let (reports, delta) =
+            charged(&solver, || solver.solve_many_threaded(&batch, batch.len()));
+        prop_assert_eq!(delta.sketch.misses, 1, "one sketch-index build per key and epoch");
+        for (report, want) in reports.iter().zip(&reference) {
+            prop_assert_eq!(&fingerprint(report.as_ref().expect("valid request")), want);
         }
     }
 }
