@@ -3,6 +3,12 @@
 //! rules, candidate pools, and the DOAM analytic oracle vs the step
 //! simulator.
 
+#![allow(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    reason = "bench code"
+)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

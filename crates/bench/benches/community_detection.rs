@@ -1,6 +1,7 @@
 //! Benchmarks for community detection — the first stage of the
 //! paper's experimental pipeline (§VI-B uses Blondel's Louvain).
 
+#![allow(missing_docs, reason = "bench code")]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use lcrb_community::{

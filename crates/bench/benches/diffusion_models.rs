@@ -1,6 +1,7 @@
 //! Benchmarks for the diffusion engine: single runs of every model
 //! plus the Monte-Carlo driver — the inner loop of Figures 4–9.
 
+#![allow(missing_docs, clippy::unwrap_used, reason = "bench code")]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -8,9 +9,9 @@ use rand::SeedableRng;
 use lcrb_datasets::{hep_like, DatasetConfig};
 use lcrb_diffusion::{
     doam_analytic, monte_carlo, CompetitiveIcModel, CompetitiveLtModel, DoamModel,
-    MonteCarloConfig, OpoaoModel, OpoaoRealization, SeedSets, TwoCascadeModel,
+    MonteCarloConfig, OpoaoModel, OpoaoRealization, SeedSets, SimWorkspace, TwoCascadeModel,
 };
-use lcrb_graph::{DiGraph, NodeId};
+use lcrb_graph::{CsrGraph, DiGraph, NodeId};
 
 fn fixture(scale: f64) -> (DiGraph, SeedSets) {
     let ds = hep_like(&DatasetConfig::new(scale, 1));
@@ -24,10 +25,10 @@ fn bench_single_runs(c: &mut Criterion) {
     let mut group = c.benchmark_group("diffusion/single_run");
     for &scale in &[0.1f64, 0.5, 1.0] {
         let (g, seeds) = fixture(scale);
-        let n = g.node_count();
+        let (csr, n) = (CsrGraph::from(&g), g.node_count());
         group.bench_with_input(BenchmarkId::new("opoao_31_hops", n), &(), |b, ()| {
-            let mut rng = SmallRng::seed_from_u64(1);
-            b.iter(|| OpoaoModel::default().run(&g, &seeds, &mut rng));
+            let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(1));
+            b.iter(|| OpoaoModel::default().run_into(&csr, &seeds, &mut ws, &mut rng));
         });
         group.bench_with_input(BenchmarkId::new("opoao_realized", n), &(), |b, ()| {
             let real = OpoaoRealization::new(5);
@@ -41,13 +42,13 @@ fn bench_single_runs(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("competitive_ic", n), &(), |b, ()| {
             let model = CompetitiveIcModel::new(0.1).unwrap();
-            let mut rng = SmallRng::seed_from_u64(2);
-            b.iter(|| model.run(&g, &seeds, &mut rng));
+            let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(2));
+            b.iter(|| model.run_into(&csr, &seeds, &mut ws, &mut rng));
         });
         group.bench_with_input(BenchmarkId::new("competitive_lt", n), &(), |b, ()| {
             let model = CompetitiveLtModel::default();
-            let mut rng = SmallRng::seed_from_u64(3);
-            b.iter(|| model.run(&g, &seeds, &mut rng));
+            let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(3));
+            b.iter(|| model.run_into(&csr, &seeds, &mut ws, &mut rng));
         });
     }
     group.finish();

@@ -4,6 +4,7 @@
 //! evaluations (SCBG / coverage-mode workload). Each arm freezes one
 //! `CsrGraph` and reuses one workspace/scratch pair.
 
+#![allow(missing_docs, clippy::unwrap_used, reason = "bench code")]
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use lcrb_datasets::{hep_like, DatasetConfig};

@@ -33,6 +33,13 @@
 //! needs no clock of its own. The measured ratios (and the session
 //! cache-counter deltas) are recorded in EXPERIMENTS.md.
 
+#![allow(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "bench code"
+)]
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

@@ -1,6 +1,12 @@
 //! Benchmarks for the graph substrate: construction, traversal, and
 //! generators — the primitives every LCRB stage is built from.
 
+#![allow(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench code"
+)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

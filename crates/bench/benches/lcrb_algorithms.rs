@@ -3,6 +3,12 @@
 //! SCBG / coverage heuristics (Table I, Figs 7–9), the greedy
 //! (Figs 4–6), and the underlying set-cover engine.
 
+#![allow(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    reason = "bench code"
+)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

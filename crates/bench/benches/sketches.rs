@@ -8,6 +8,13 @@
 //! realization per query. The observed ratios are recorded in
 //! EXPERIMENTS.md.
 
+#![allow(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "bench code"
+)]
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

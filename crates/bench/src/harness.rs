@@ -17,7 +17,7 @@ use lcrb_datasets::{
     enron_like, enron_like_heterogeneous, hep_like, hep_like_heterogeneous, DatasetConfig,
     SyntheticDataset,
 };
-use lcrb_diffusion::{DoamModel, MonteCarloConfig, OpoaoModel, TwoCascadeModel};
+use lcrb_diffusion::{DoamModel, MonteCarloConfig, OpoaoModel, SimWorkspace, TwoCascadeModel};
 use lcrb_graph::NodeId;
 
 /// Which network / rumor community an experiment runs on.
@@ -516,7 +516,9 @@ pub fn run_source_detection(cfg: &HarnessConfig) -> Vec<SourceDetectionRow> {
             let outcome = if deterministic {
                 DoamModel::new(hops).run_deterministic(inst.graph(), &seeds)
             } else {
-                OpoaoModel::new(hops).run(inst.graph(), &seeds, &mut rng)
+                let mut ws = SimWorkspace::new();
+                OpoaoModel::new(hops).run_into(inst.snapshot(), &seeds, &mut ws, &mut rng);
+                ws.to_outcome()
             };
             let suspects = inst.rumor_community_members();
             candidates_len = suspects.len();

@@ -13,9 +13,10 @@
 //! cargo run --release -p lcrb-bench --bin experiments -- sources --trials 10
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
+#![allow(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "experiment harness"
+)]
 pub mod harness;
 pub mod report;

@@ -2,7 +2,10 @@
 //! fast alternative community detector and as an independent
 //! cross-check for the Louvain implementation.
 
-// xtask-allow-file: index -- label/count buffers are node-indexed arrays sized to node_count; NodeIds are validated at graph construction
+#![expect(
+    clippy::indexing_slicing,
+    reason = "label/count buffers are node-indexed arrays sized to node_count; NodeIds are validated at graph construction"
+)]
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -77,10 +80,13 @@ pub fn label_propagation(g: &DiGraph, config: &LabelPropagationConfig) -> Partit
             if touched.is_empty() {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "`touched` receives every label counted this round, so max_by_key sees a non-empty slice"
+            )]
             let best = *touched
                 .iter()
                 .max_by_key(|&&l| counts[l])
-                // xtask-allow: panic -- `touched` receives every label counted this round, so max_by_key sees a non-empty slice
                 .expect("touched is non-empty");
             // Collect ties and break uniformly.
             let ties: Vec<usize> = touched

@@ -33,10 +33,6 @@
 //! assert!(result.partition.community_count() >= 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod label_propagation;
 mod louvain;
 pub mod metrics;

@@ -6,7 +6,10 @@
 //! (Leicht–Newman) modularity, and levels aggregate communities into
 //! weighted super-nodes.
 
-// xtask-allow-file: index -- all buffers are node- or community-indexed arrays sized together at the start of each level
+#![expect(
+    clippy::indexing_slicing,
+    reason = "all buffers are node- or community-indexed arrays sized together at the start of each level"
+)]
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

@@ -1,7 +1,10 @@
 //! Partition-quality metrics: cut structure, conductance, mixing
 //! parameter, and normalized mutual information.
 
-// xtask-allow-file: index -- per-community accumulators are sized to the partition's community count, which the up-front cover check validates
+#![expect(
+    clippy::indexing_slicing,
+    reason = "per-community accumulators are sized to the partition's community count, which the up-front cover check validates"
+)]
 use lcrb_graph::{DiGraph, NodeId};
 
 use crate::Partition;
@@ -14,9 +17,12 @@ use crate::Partition;
 /// Panics if the partition does not cover the graph's nodes.
 #[must_use]
 pub fn cut_edges(g: &DiGraph, partition: &Partition) -> usize {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` precondition: the partition must cover the graph"
+    )]
     partition
         .check_node_count(g.node_count())
-        // xtask-allow: panic -- documented `# Panics` precondition: the partition must cover the graph
         .expect("partition must cover the graph");
     g.edges()
         .filter(|&(u, v)| partition.community_of(u) != partition.community_of(v))
@@ -47,9 +53,12 @@ pub fn mixing_parameter(g: &DiGraph, partition: &Partition) -> f64 {
 /// Panics if the partition does not cover the graph's nodes.
 #[must_use]
 pub fn internal_edge_counts(g: &DiGraph, partition: &Partition) -> Vec<usize> {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` precondition: the partition must cover the graph"
+    )]
     partition
         .check_node_count(g.node_count())
-        // xtask-allow: panic -- documented `# Panics` precondition: the partition must cover the graph
         .expect("partition must cover the graph");
     let mut counts = vec![0usize; partition.community_count()];
     for (u, v) in g.edges() {

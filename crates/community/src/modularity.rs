@@ -1,7 +1,10 @@
 //! Directed modularity (Leicht–Newman), the objective optimized by
 //! Louvain.
 
-// xtask-allow-file: index -- degree and community arrays are node_count-sized after the up-front cover check
+#![expect(
+    clippy::indexing_slicing,
+    reason = "degree and community arrays are node_count-sized after the up-front cover check"
+)]
 use lcrb_graph::DiGraph;
 
 use crate::Partition;
@@ -35,9 +38,12 @@ use crate::Partition;
 /// ```
 #[must_use]
 pub fn modularity(g: &DiGraph, partition: &Partition) -> f64 {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` precondition: the partition must cover the graph"
+    )]
     partition
         .check_node_count(g.node_count())
-        // xtask-allow: panic -- documented `# Panics` precondition: the partition must cover the graph
         .expect("partition must cover the graph");
     let m = g.edge_count() as f64;
     if m == 0.0 {

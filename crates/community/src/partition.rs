@@ -1,7 +1,10 @@
 //! The community partition type (Definition 1 of the paper: a set of
 //! disjoint communities covering the node set).
 
-// xtask-allow-file: index -- community ids are assigned densely by this type's own constructors, so they index its own vectors
+#![expect(
+    clippy::indexing_slicing,
+    reason = "community ids are assigned densely by this type's own constructors, so they index its own vectors"
+)]
 use core::fmt;
 
 use lcrb_graph::NodeId;

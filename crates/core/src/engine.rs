@@ -662,9 +662,11 @@ pub struct SolverConfig {
 /// A clock read for stage timings. Observability metadata only: the
 /// solver's *selections* never read the clock, so determinism of the
 /// outputs is preserved.
-#[allow(clippy::disallowed_methods)]
 fn now() -> std::time::Instant {
-    // xtask-allow: determinism -- stage timings are observability metadata; selections never read the clock
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stage timings are observability metadata; selections never read the clock"
+    )]
     std::time::Instant::now()
 }
 
@@ -1763,9 +1765,12 @@ impl Solver {
                     out
                 }));
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raising a worker panic on the coordinating thread is the intended behavior"
+            )]
             handles
                 .into_iter()
-                // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
                 .flat_map(|h| h.join().expect("solve worker panicked"))
                 .collect::<Vec<_>>()
         });

@@ -12,6 +12,7 @@
 //! the standard remedy and is benchmarked against plain greedy in
 //! `lcrb-bench`.
 
+#![expect(clippy::indexing_slicing, reason = "heap entries index the pool")]
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -96,9 +97,12 @@ impl PartialOrd for FiniteF64 {
 
 impl Ord for FiniteF64 {
     fn cmp(&self, other: &Self) -> Ordering {
+        #[expect(
+            clippy::expect_used,
+            reason = "FiniteF64 wraps only checked-finite gains, so partial_cmp cannot return None"
+        )]
         self.0
             .partial_cmp(&other.0)
-            // xtask-allow: panic -- FiniteF64 wraps only checked-finite gains, so partial_cmp cannot return None
             .expect("gains are finite by construction")
     }
 }
@@ -527,9 +531,12 @@ fn parallel_initial_gains(
                 partial
             }));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "re-raising a worker panic on the coordinating thread is the intended behavior"
+        )]
         handles
             .into_iter()
-            // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
             .flat_map(|h| h.join().expect("gain worker panicked"))
             .collect::<Vec<_>>()
     });

@@ -3,7 +3,10 @@
 //! heuristic [`crate::Algorithm`]s truncate to a budget, plus the
 //! coverage-mode runner used for Table I.
 
-// xtask-allow-file: index -- score/degree arrays are node_count-sized and candidates come from the same graph's node iterator
+#![expect(
+    clippy::indexing_slicing,
+    reason = "score/degree arrays are node_count-sized and candidates come from the same graph's node iterator"
+)]
 use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::NodeId;
 
@@ -64,9 +67,12 @@ pub(crate) fn pagerank_ordering(instance: &RumorBlockingInstance, damping: f64) 
         .filter(|&v| !instance.is_rumor_seed(v))
         .collect();
     nodes.sort_by(|&a, &b| {
+        #[expect(
+            clippy::expect_used,
+            reason = "pagerank scores are finite by construction (damped convex sums of finite values)"
+        )]
         pr.scores[b.index()]
             .partial_cmp(&pr.scores[a.index()])
-            // xtask-allow: panic -- pagerank scores are finite by construction (damped convex sums of finite values)
             .expect("pagerank scores are finite")
             .then(a.cmp(&b))
     });

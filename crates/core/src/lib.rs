@@ -54,10 +54,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod bridge;
 pub mod engine;
 mod error;

@@ -14,6 +14,7 @@
 //! submodularity while also being directly comparable with the
 //! paper's protection target `α·|B|`.
 
+#![expect(clippy::indexing_slicing, reason = "indices stay below batch size")]
 use lcrb_diffusion::{
     CompetitiveIcModel, IcRealization, OpoaoModel, OpoaoRealization, SeedSets, SimWorkspace,
 };

@@ -29,6 +29,7 @@
 //! provably protected. The approximation factor is `H(|B|) = O(ln
 //! |B|)` by the set-cover reduction (Theorems 2–3).
 
+#![expect(clippy::indexing_slicing, reason = "rows sized per snapshot node")]
 use lcrb_diffusion::{StopReason, WorkMeter};
 use lcrb_graph::traversal::{CsrBfsScratch, Direction};
 use lcrb_graph::{CsrGraph, NodeId};
@@ -98,8 +99,11 @@ impl ScbgSolution {
 /// ```
 #[must_use]
 pub fn scbg(instance: &RumorBlockingInstance, config: &ScbgConfig) -> ScbgSolution {
+    #[expect(
+        clippy::expect_used,
+        reason = "an unlimited meter's poll never stops SCBG"
+    )]
     let (solution, _) = scbg_metered(instance, config, &WorkMeter::unlimited())
-        // xtask-allow: panic -- an unlimited meter's poll never stops SCBG
         .expect("unlimited meter cannot stop SCBG");
     solution
 }
@@ -204,13 +208,16 @@ pub fn star_sets(
     bridge_ends: &BridgeEnds,
     max_bbst_depth: Option<u32>,
 ) -> StarSets {
+    #[expect(
+        clippy::expect_used,
+        reason = "an unlimited meter's poll never stops the build"
+    )]
     star_sets_metered(
         instance,
         bridge_ends,
         max_bbst_depth,
         &WorkMeter::unlimited(),
     )
-    // xtask-allow: panic -- an unlimited meter's poll never stops the build
     .expect("unlimited meter cannot stop the star-set build")
 }
 
@@ -233,9 +240,12 @@ pub(crate) fn star_sets_metered(
         .nodes
         .iter()
         .map(|&v| {
+            #[expect(
+                clippy::expect_used,
+                reason = "bridge ends are discovered by forward BFS from the rumor seeds, so a distance exists"
+            )]
             let depth = d_r
                 .distance(v)
-                // xtask-allow: panic -- bridge ends are discovered by forward BFS from the rumor seeds, so a distance exists
                 .expect("bridge ends are reachable from the rumor originators by definition");
             max_bbst_depth.map_or(depth, |cap| depth.min(cap))
         })

@@ -12,7 +12,10 @@
 //! over in this form directly; the `Vec<u32>` entry points pack their
 //! input first.
 
-// xtask-allow-file: index -- element and set ids are dense indices assigned by this module's own builder over one arena
+#![expect(
+    clippy::indexing_slicing,
+    reason = "element and set ids are dense indices assigned by this module's own builder over one arena"
+)]
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -163,8 +166,11 @@ impl BitSets {
 #[must_use]
 pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<u32>]) -> SetCoverSolution {
     let sets = BitSets::from_sets(universe_size, sets);
+    #[expect(
+        clippy::expect_used,
+        reason = "an unlimited meter's poll never stops the cover loop"
+    )]
     let (solution, _) = greedy_set_cover_metered(&sets, &WorkMeter::unlimited())
-        // xtask-allow: panic -- an unlimited meter's poll never stops the cover loop
         .expect("unlimited meter cannot stop the cover");
     solution
 }

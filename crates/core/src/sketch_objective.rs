@@ -25,6 +25,7 @@
 //! monotone and submodular per sketch, so CELF remains sound on the
 //! sketch objective.
 
+#![expect(clippy::indexing_slicing, reason = "arrays sized per snapshot node")]
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;

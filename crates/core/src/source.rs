@@ -16,7 +16,10 @@
 //! which is exact on trees under deterministic spreading and a strong
 //! heuristic on general graphs.
 
-// xtask-allow-file: index -- distance arrays are node_count-sized and indexed by NodeIds of the same graph
+#![expect(
+    clippy::indexing_slicing,
+    reason = "distance arrays are node_count-sized and indexed by NodeIds of the same graph"
+)]
 use lcrb_graph::traversal::bfs_distances;
 use lcrb_graph::{DiGraph, NodeId};
 
@@ -132,7 +135,7 @@ mod tests {
     use super::*;
     use crate::RumorBlockingInstance;
     use lcrb_community::Partition;
-    use lcrb_diffusion::{DoamModel, OpoaoModel, TwoCascadeModel};
+    use lcrb_diffusion::{DoamModel, OpoaoModel, SimWorkspace, TwoCascadeModel};
     use lcrb_graph::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -227,8 +230,9 @@ mod tests {
 
         // Stochastic OPOAO snapshot: noisier, so only demand better
         // than the median candidate.
-        let outcome = OpoaoModel::new(8).run(inst.graph(), &seeds, &mut rng);
-        let ranking = rank_sources(inst.graph(), &outcome.infected_nodes(), &candidates);
+        let mut ws = SimWorkspace::new();
+        OpoaoModel::new(8).run_into(inst.snapshot(), &seeds, &mut ws, &mut rng);
+        let ranking = rank_sources(inst.graph(), &ws.to_outcome().infected_nodes(), &candidates);
         let rank = ranking.rank_of(true_source).expect("source is a candidate");
         assert!(
             rank < candidates.len() / 2,

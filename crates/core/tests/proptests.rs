@@ -3,6 +3,7 @@
 //! submodularity of the protector-blocking count (Lemma 4 / Theorem
 //! 1), the exactness of SCBG covers, and set-cover invariants.
 
+#![allow(clippy::expect_used, reason = "test code")]
 use lcrb::setcover::{greedy_set_cover, harmonic};
 use lcrb::{
     find_bridge_ends, max_degree_ordering, protectors_to_cover_all, scbg, Algorithm, BridgeEndRule,

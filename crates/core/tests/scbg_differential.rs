@@ -6,6 +6,7 @@
 //! depth cap, both bridge-end rules, rumor seeds inside the BBSTs,
 //! and the Hep-like dataset.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing, reason = "test code")]
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 

@@ -23,10 +23,6 @@
 //! assert!(ds.planted.community_count() > 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod loader;
 mod synthetic;
 

@@ -20,7 +20,10 @@
 //! the experimental shape. Real traces dropped into `data/` can be
 //! loaded instead via [`crate::load_edge_list`].
 
-// xtask-allow-file: index -- generator-owned arrays are sized to the synthesized node count before any indexing
+#![expect(
+    clippy::indexing_slicing,
+    reason = "generator-owned arrays are sized to the synthesized node count before any indexing"
+)]
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -241,13 +244,16 @@ fn build(
     let mut rng = SmallRng::seed_from_u64(seed);
     let sizes = power_law_sizes(nodes, pinned, min_size, max_size, &mut rng);
     let (intra, inter) = edge_budgets(&sizes, edges, mixing, symmetric);
+    #[expect(
+        clippy::expect_used,
+        reason = "the calibration loop only emits budgets it has already verified feasible"
+    )]
     let (graph, labels) = match degrees {
         DegreeModel::Homogeneous => community_gnm(&sizes, &intra, inter, symmetric, &mut rng),
         DegreeModel::HeavyTailed { exponent } => lcrb_graph::generators::community_chung_lu(
             &sizes, &intra, inter, exponent, symmetric, &mut rng,
         ),
     }
-    // xtask-allow: panic -- the calibration loop only emits budgets it has already verified feasible
     .expect("calibrated budgets are feasible by construction");
     let planted = Partition::from_labels(labels);
     // Pinned communities come first in `sizes`, and community_gnm

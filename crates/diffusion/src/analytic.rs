@@ -20,7 +20,10 @@
 //! call. The zero-allocation kernel lives in [`crate::DoamModel`]'s
 //! `run_deterministic_into`.
 
-// xtask-allow-file: index -- bfs_distances returns node_count-sized maps and SeedSets validates every seed against the same graph
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bfs_distances returns node_count-sized maps and SeedSets validates every seed against the same graph"
+)]
 use lcrb_graph::traversal::{bfs_distances, CsrBfsScratch, Direction};
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
 

@@ -8,6 +8,7 @@
 //! active node gets a single chance per out-neighbor, and the
 //! protector cascade wins simultaneous claims.
 
+#![expect(clippy::indexing_slicing, reason = "buffers sized to the snapshot")]
 use core::fmt;
 
 use rand::Rng;
@@ -135,7 +136,7 @@ impl IcRealization {
 impl CompetitiveIcModel {
     /// Runs the model deterministically against a pre-sampled
     /// live-edge realization (see [`IcRealization`]). Marginally over
-    /// realizations this reproduces [`TwoCascadeModel::run`]'s
+    /// realizations this reproduces [`TwoCascadeModel::run_into`]'s
     /// distribution.
     ///
     /// # Panics
@@ -294,31 +295,34 @@ mod tests {
     fn probability_one_is_doam_like_broadcast() {
         let g = generators::path_graph(5);
         let m = CompetitiveIcModel::new(1.0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let o = m.run(&g, &seeds(&g, &[0], &[]), &mut rng);
-        assert_eq!(o.infected_count(), 5);
-        assert_eq!(o.activation_hop(NodeId::new(4)), Some(4));
+        let (csr, s) = (CsrGraph::from(&g), seeds(&g, &[0], &[]));
+        let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(0));
+        m.run_into(&csr, &s, &mut ws, &mut rng);
+        assert_eq!(ws.infected_count(), 5);
+        assert_eq!(ws.activation_hop(NodeId::new(4)), Some(4));
     }
 
     #[test]
     fn probability_zero_never_spreads() {
         let g = generators::complete_graph(6);
         let m = CompetitiveIcModel::new(0.0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let o = m.run(&g, &seeds(&g, &[0], &[1]), &mut rng);
-        assert_eq!(o.infected_count(), 1);
-        assert_eq!(o.protected_count(), 1);
-        assert!(o.is_quiescent());
+        let (csr, s) = (CsrGraph::from(&g), seeds(&g, &[0], &[1]));
+        let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(1));
+        m.run_into(&csr, &s, &mut ws, &mut rng);
+        assert_eq!(ws.infected_count(), 1);
+        assert_eq!(ws.protected_count(), 1);
+        assert!(ws.is_quiescent());
     }
 
     #[test]
     fn protector_priority_on_tie() {
         let g = DiGraph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
         let m = CompetitiveIcModel::new(1.0).unwrap();
+        let (csr, mut ws) = (CsrGraph::from(&g), SimWorkspace::new());
         for s in 0..10 {
             let mut rng = SmallRng::seed_from_u64(s);
-            let o = m.run(&g, &seeds(&g, &[0], &[1]), &mut rng);
-            assert_eq!(o.status(NodeId::new(2)), Status::Protected);
+            m.run_into(&csr, &seeds(&g, &[0], &[1]), &mut ws, &mut rng);
+            assert_eq!(ws.status(NodeId::new(2)), Status::Protected);
         }
     }
 
@@ -328,12 +332,13 @@ mod tests {
         // node 1 — and a failed attempt is never retried.
         let g = generators::path_graph(2);
         let m = CompetitiveIcModel::new(0.5).unwrap();
+        let (csr, mut ws) = (CsrGraph::from(&g), SimWorkspace::new());
         let mut hits = 0;
         for s in 0..400 {
             let mut rng = SmallRng::seed_from_u64(s);
-            let o = m.run(&g, &seeds(&g, &[0], &[]), &mut rng);
-            assert!(o.is_quiescent());
-            if o.infected_count() == 2 {
+            m.run_into(&csr, &seeds(&g, &[0], &[]), &mut ws, &mut rng);
+            assert!(ws.is_quiescent());
+            if ws.infected_count() == 2 {
                 hits += 1;
             }
         }
@@ -344,10 +349,11 @@ mod tests {
     fn hop_budget_truncates() {
         let g = generators::path_graph(10);
         let m = CompetitiveIcModel::with_max_hops(1.0, 2).unwrap();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let o = m.run(&g, &seeds(&g, &[0], &[]), &mut rng);
-        assert_eq!(o.infected_count(), 3);
-        assert!(!o.is_quiescent());
+        let (csr, s) = (CsrGraph::from(&g), seeds(&g, &[0], &[]));
+        let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(3));
+        m.run_into(&csr, &s, &mut ws, &mut rng);
+        assert_eq!(ws.infected_count(), 3);
+        assert!(!ws.is_quiescent());
     }
 
     #[test]
@@ -408,6 +414,7 @@ mod tests {
         let g = generators::gnm_directed(60, 240, &mut rng).unwrap();
         let m = CompetitiveIcModel::new(0.2).unwrap();
         let s = seeds(&g, &[0, 1], &[2]);
+        let (csr, mut ws) = (CsrGraph::from(&g), SimWorkspace::new());
         let runs = 400;
         let realized: f64 = (0..runs)
             .map(|i| {
@@ -419,7 +426,8 @@ mod tests {
         let stochastic: f64 = (0..runs)
             .map(|i| {
                 let mut r = SmallRng::seed_from_u64(1000 + i);
-                m.run(&g, &s, &mut r).infected_count()
+                m.run_into(&csr, &s, &mut ws, &mut r);
+                ws.infected_count()
             })
             .sum::<usize>() as f64
             / runs as f64;

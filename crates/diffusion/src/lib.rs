@@ -52,10 +52,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod analytic;
 mod budget;
 mod doam;

@@ -9,6 +9,7 @@
 //! *protected* when the protector weight alone reaches the threshold,
 //! and infected otherwise.
 
+#![expect(clippy::indexing_slicing, reason = "buffers sized to the snapshot")]
 use rand::Rng;
 
 use lcrb_graph::{CsrGraph, NodeId};
@@ -170,11 +171,12 @@ mod tests {
         // On a path every node has in-degree 1: once the predecessor
         // is active, weight = 1 >= θ for any θ in (0, 1].
         let g = generators::path_graph(5);
-        let mut rng = SmallRng::seed_from_u64(0);
-        let o = CompetitiveLtModel::default().run(&g, &seeds(&g, &[0], &[]), &mut rng);
-        assert_eq!(o.infected_count(), 5);
-        assert_eq!(o.activation_hop(NodeId::new(4)), Some(4));
-        assert!(o.is_quiescent());
+        let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(0));
+        let s = seeds(&g, &[0], &[]);
+        CompetitiveLtModel::default().run_into(&CsrGraph::from(&g), &s, &mut ws, &mut rng);
+        assert_eq!(ws.infected_count(), 5);
+        assert_eq!(ws.activation_hop(NodeId::new(4)), Some(4));
+        assert!(ws.is_quiescent());
     }
 
     #[test]
@@ -183,11 +185,13 @@ mod tests {
         // both active its total weight is 1 so it activates, and it
         // is protected iff w_p = 0.5 >= θ.
         let g = DiGraph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
+        let (csr, s) = (CsrGraph::from(&g), seeds(&g, &[0], &[1]));
+        let mut ws = SimWorkspace::new();
         let (mut protected, mut infected) = (0, 0);
-        for s in 0..200 {
-            let mut rng = SmallRng::seed_from_u64(s);
-            let o = CompetitiveLtModel::default().run(&g, &seeds(&g, &[0], &[1]), &mut rng);
-            match o.status(NodeId::new(2)) {
+        for seed in 0..200 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            CompetitiveLtModel::default().run_into(&csr, &s, &mut ws, &mut rng);
+            match ws.status(NodeId::new(2)) {
                 Status::Protected => protected += 1,
                 Status::Infected => infected += 1,
                 Status::Inactive => panic!("node 2 must activate"),
@@ -207,11 +211,13 @@ mod tests {
         for leaf in 1..6 {
             g.add_edge(NodeId::new(leaf), NodeId::new(0)).unwrap();
         }
+        let (csr, s) = (CsrGraph::from(&g), seeds(&g, &[1], &[]));
+        let mut ws = SimWorkspace::new();
         let mut hits = 0;
-        for s in 0..500 {
-            let mut rng = SmallRng::seed_from_u64(s);
-            let o = CompetitiveLtModel::default().run(&g, &seeds(&g, &[1], &[]), &mut rng);
-            if o.status(NodeId::new(0)).is_infected() {
+        for seed in 0..500 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            CompetitiveLtModel::default().run_into(&csr, &s, &mut ws, &mut rng);
+            if ws.status(NodeId::new(0)).is_infected() {
                 hits += 1;
             }
         }
@@ -221,19 +227,21 @@ mod tests {
     #[test]
     fn no_seeds_is_quiescent() {
         let g = generators::complete_graph(4);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let o = CompetitiveLtModel::default().run(&g, &seeds(&g, &[], &[]), &mut rng);
-        assert_eq!(o.infected_count(), 0);
-        assert!(o.is_quiescent());
+        let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(1));
+        let s = seeds(&g, &[], &[]);
+        CompetitiveLtModel::default().run_into(&CsrGraph::from(&g), &s, &mut ws, &mut rng);
+        assert_eq!(ws.infected_count(), 0);
+        assert!(ws.is_quiescent());
     }
 
     #[test]
     fn hop_budget_truncates() {
         let g = generators::path_graph(10);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let o = CompetitiveLtModel::new(3).run(&g, &seeds(&g, &[0], &[]), &mut rng);
-        assert_eq!(o.infected_count(), 4);
-        assert!(!o.is_quiescent());
+        let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(2));
+        let s = seeds(&g, &[0], &[]);
+        CompetitiveLtModel::new(3).run_into(&CsrGraph::from(&g), &s, &mut ws, &mut rng);
+        assert_eq!(ws.infected_count(), 4);
+        assert!(!ws.is_quiescent());
     }
 
     #[test]
@@ -248,7 +256,9 @@ mod tests {
             let mut a = SmallRng::seed_from_u64(seed);
             let mut b = SmallRng::seed_from_u64(seed);
             model.run_into(&csr, &s, &mut ws, &mut a);
-            assert_eq!(ws.to_outcome(), model.run(&g, &s, &mut b), "seed {seed}");
+            let mut fresh = SimWorkspace::new();
+            model.run_into(&CsrGraph::from(&g), &s, &mut fresh, &mut b);
+            assert_eq!(ws.to_outcome(), fresh.to_outcome(), "seed {seed}");
         }
     }
 

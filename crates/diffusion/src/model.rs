@@ -3,10 +3,9 @@
 
 use rand::Rng;
 
-// xtask-allow: hotpath -- DiGraph is imported only for the documented one-off convenience wrapper
-use lcrb_graph::{CsrGraph, DiGraph};
+use lcrb_graph::CsrGraph;
 
-use crate::{DiffusionOutcome, SeedSets, SimWorkspace};
+use crate::{SeedSets, SimWorkspace};
 
 /// A diffusion process in which a rumor cascade R and a protector
 /// cascade P compete on a directed graph, with P given priority on
@@ -16,8 +15,7 @@ use crate::{DiffusionOutcome, SeedSets, SimWorkspace};
 /// against a frozen [`CsrGraph`] snapshot and write their result into
 /// a caller-owned [`SimWorkspace`], so repeated runs (Monte-Carlo
 /// batches, greedy objective evaluations) perform no per-run heap
-/// allocation. [`TwoCascadeModel::run`] is a convenience wrapper that
-/// snapshots the graph and allocates a throwaway workspace.
+/// allocation.
 ///
 /// Implementations must be deterministic functions of `(graph,
 /// seeds, rng stream)` so that Monte-Carlo runs are reproducible from
@@ -40,28 +38,6 @@ pub trait TwoCascadeModel {
         ws: &mut SimWorkspace,
         rng: &mut R,
     );
-
-    /// Runs one diffusion on a [`DiGraph`], snapshotting it and
-    /// allocating a fresh workspace. Convenience wrapper over
-    /// [`TwoCascadeModel::run_into`] for one-off runs; batch callers
-    /// should snapshot once and reuse a workspace instead.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `seeds` was validated against a
-    /// different graph.
-    fn run<R: Rng + ?Sized>(
-        &self,
-        // xtask-allow: hotpath -- documented cold-path convenience wrapper; snapshots then delegates to run_into
-        graph: &DiGraph,
-        seeds: &SeedSets,
-        rng: &mut R,
-    ) -> DiffusionOutcome {
-        let csr = CsrGraph::from(graph);
-        let mut ws = SimWorkspace::new();
-        self.run_into(&csr, seeds, &mut ws, rng);
-        ws.to_outcome()
-    }
 
     /// Short stable name for reports ("opoao", "doam", ...).
     fn name(&self) -> &'static str;

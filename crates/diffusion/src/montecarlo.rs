@@ -5,7 +5,10 @@
 //! loop, parallelized across std scoped threads and reproducible from
 //! a single base seed.
 
-// xtask-allow-file: index -- accumulator arrays are node_count-sized at construction and merged series share one length
+#![expect(
+    clippy::indexing_slicing,
+    reason = "accumulator arrays are node_count-sized at construction and merged series share one length"
+)]
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -268,17 +271,23 @@ where
                 acc
             }));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "re-raising a worker panic on the coordinating thread is the intended behavior"
+        )]
         handles
             .into_iter()
-            // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
             .map(|h| h.join().expect("monte carlo worker panicked"))
             .collect::<Vec<_>>()
     });
 
+    #[expect(
+        clippy::expect_used,
+        reason = "thread count is clamped to at least 1, so one accumulator always exists"
+    )]
     accumulators
         .into_iter()
         .reduce(SeriesAccumulator::merge)
-        // xtask-allow: panic -- thread count is clamped to at least 1, so one accumulator always exists
         .expect("at least one worker")
         .into_average()
 }
@@ -351,17 +360,23 @@ where
                 acc
             }));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "re-raising a worker panic on the coordinating thread is the intended behavior"
+        )]
         handles
             .into_iter()
-            // xtask-allow: panic -- re-raising a worker panic on the coordinating thread is the intended behavior
             .map(|h| h.join().expect("monte carlo worker panicked"))
             .collect::<Vec<_>>()
     });
     meter.poll()?;
+    #[expect(
+        clippy::expect_used,
+        reason = "thread count is clamped to at least 1, so one accumulator always exists"
+    )]
     Ok(accumulators
         .into_iter()
         .reduce(SeriesAccumulator::merge)
-        // xtask-allow: panic -- thread count is clamped to at least 1, so one accumulator always exists
         .expect("at least one worker")
         .into_average())
 }

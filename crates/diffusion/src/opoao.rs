@@ -9,6 +9,7 @@
 //! already-active neighbor wastes the step and diffusion is slow —
 //! the person-to-person contact regime the paper describes.
 
+#![expect(clippy::indexing_slicing, reason = "buffers sized to the snapshot")]
 use rand::Rng;
 
 // xtask-allow: hotpath -- DiGraph is imported only for the documented one-off convenience wrapper
@@ -214,12 +215,13 @@ mod tests {
         // "random" choice is forced and the rumor walks the path.
         let g = lcrb_graph::generators::path_graph(5);
         let seeds = SeedSets::rumors_only(&g, vec![NodeId::new(0)]).unwrap();
-        let o = OpoaoModel::new(10).run(&g, &seeds, &mut rng(0));
-        assert_eq!(o.infected_count(), 5);
+        let mut ws = SimWorkspace::new();
+        OpoaoModel::new(10).run_into(&CsrGraph::from(&g), &seeds, &mut ws, &mut rng(0));
+        assert_eq!(ws.infected_count(), 5);
         for i in 0..5 {
-            assert_eq!(o.activation_hop(NodeId::new(i)), Some(i as u32));
+            assert_eq!(ws.activation_hop(NodeId::new(i)), Some(i as u32));
         }
-        assert!(o.is_quiescent());
+        assert!(ws.is_quiescent());
     }
 
     #[test]
@@ -227,10 +229,11 @@ mod tests {
         // 0 (rumor) -> 2 <- 1 (protector): both claim node 2 at hop 1.
         let g = lcrb_graph::DiGraph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
         let seeds = SeedSets::new(&g, vec![NodeId::new(0)], vec![NodeId::new(1)]).unwrap();
+        let (csr, mut ws) = (CsrGraph::from(&g), SimWorkspace::new());
         for seed in 0..20 {
-            let o = OpoaoModel::new(5).run(&g, &seeds, &mut rng(seed));
-            assert_eq!(o.status(NodeId::new(2)), Status::Protected);
-            assert_eq!(o.activation_hop(NodeId::new(2)), Some(1));
+            OpoaoModel::new(5).run_into(&csr, &seeds, &mut ws, &mut rng(seed));
+            assert_eq!(ws.status(NodeId::new(2)), Status::Protected);
+            assert_eq!(ws.activation_hop(NodeId::new(2)), Some(1));
         }
     }
 
@@ -241,39 +244,43 @@ mod tests {
         // infected and 3 stays for P to claim.
         let g = lcrb_graph::generators::path_graph(4);
         let seeds = SeedSets::new(&g, vec![NodeId::new(0)], vec![NodeId::new(2)]).unwrap();
-        let o = OpoaoModel::new(10).run(&g, &seeds, &mut rng(1));
-        assert_eq!(o.status(NodeId::new(1)), Status::Infected);
-        assert_eq!(o.status(NodeId::new(3)), Status::Protected);
-        assert!(o.is_quiescent());
+        let mut ws = SimWorkspace::new();
+        OpoaoModel::new(10).run_into(&CsrGraph::from(&g), &seeds, &mut ws, &mut rng(1));
+        assert_eq!(ws.status(NodeId::new(1)), Status::Infected);
+        assert_eq!(ws.status(NodeId::new(3)), Status::Protected);
+        assert!(ws.is_quiescent());
     }
 
     #[test]
     fn hop_budget_truncates() {
         let g = lcrb_graph::generators::path_graph(10);
         let seeds = SeedSets::rumors_only(&g, vec![NodeId::new(0)]).unwrap();
-        let o = OpoaoModel::new(3).run(&g, &seeds, &mut rng(2));
-        assert_eq!(o.infected_count(), 4); // seed + 3 hops
-        assert!(!o.is_quiescent());
+        let mut ws = SimWorkspace::new();
+        OpoaoModel::new(3).run_into(&CsrGraph::from(&g), &seeds, &mut ws, &mut rng(2));
+        assert_eq!(ws.infected_count(), 4); // seed + 3 hops
+        assert!(!ws.is_quiescent());
     }
 
     #[test]
     fn no_seeds_is_immediately_quiescent() {
         let g = lcrb_graph::generators::path_graph(4);
         let seeds = SeedSets::new(&g, vec![], vec![]).unwrap();
-        let o = OpoaoModel::default().run(&g, &seeds, &mut rng(3));
-        assert_eq!(o.infected_count(), 0);
-        assert_eq!(o.protected_count(), 0);
-        assert!(o.is_quiescent());
-        assert_eq!(o.trace().len(), 1);
+        let mut ws = SimWorkspace::new();
+        OpoaoModel::default().run_into(&CsrGraph::from(&g), &seeds, &mut ws, &mut rng(3));
+        assert_eq!(ws.infected_count(), 0);
+        assert_eq!(ws.protected_count(), 0);
+        assert!(ws.is_quiescent());
+        assert_eq!(ws.trace().len(), 1);
     }
 
     #[test]
     fn sink_seed_cannot_spread() {
         let g = lcrb_graph::DiGraph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
         let seeds = SeedSets::rumors_only(&g, vec![NodeId::new(2)]).unwrap();
-        let o = OpoaoModel::default().run(&g, &seeds, &mut rng(4));
-        assert_eq!(o.infected_count(), 1);
-        assert!(o.is_quiescent());
+        let mut ws = SimWorkspace::new();
+        OpoaoModel::default().run_into(&CsrGraph::from(&g), &seeds, &mut ws, &mut rng(4));
+        assert_eq!(ws.infected_count(), 1);
+        assert!(ws.is_quiescent());
     }
 
     #[test]
@@ -286,15 +293,16 @@ mod tests {
             vec![NodeId::new(2)],
         )
         .unwrap();
-        let o = OpoaoModel::default().run(&g, &seeds, &mut r);
+        let mut ws = SimWorkspace::new();
+        OpoaoModel::default().run_into(&CsrGraph::from(&g), &seeds, &mut ws, &mut r);
         for v in g.nodes() {
-            match o.status(v) {
-                Status::Inactive => assert_eq!(o.activation_hop(v), None),
-                _ => assert!(o.activation_hop(v).is_some()),
+            match ws.status(v) {
+                Status::Inactive => assert_eq!(ws.activation_hop(v), None),
+                _ => assert!(ws.activation_hop(v).is_some()),
             }
         }
         // Trace totals are monotone.
-        let t = o.trace();
+        let t = ws.trace();
         for w in t.windows(2) {
             assert!(w[1].total_infected >= w[0].total_infected);
             assert!(w[1].total_protected >= w[0].total_protected);

@@ -1,7 +1,10 @@
 //! Diffusion outcomes: per-node statuses, activation times, and
 //! hop-by-hop traces (the raw material for the paper's Figures 4–9).
 
-// xtask-allow-file: index -- status/activation arrays are node_count-sized by the workspace that assembles the outcome
+#![expect(
+    clippy::indexing_slicing,
+    reason = "status/activation arrays are node_count-sized by the workspace that assembles the outcome"
+)]
 use lcrb_graph::NodeId;
 
 use crate::SeedSets;

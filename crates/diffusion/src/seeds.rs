@@ -1,7 +1,10 @@
 //! Seed-set handling for the two competing cascades, plus the RNG
 //! stream-derivation primitive every seeded estimator shares.
 
-// xtask-allow-file: index -- membership bitmaps are node_count-sized and built during the validation that admits each seed
+#![expect(
+    clippy::indexing_slicing,
+    reason = "membership bitmaps are node_count-sized and built during the validation that admits each seed"
+)]
 use core::fmt;
 
 use lcrb_graph::{DiGraph, NodeId};

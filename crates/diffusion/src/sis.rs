@@ -15,10 +15,10 @@
 //! output is the prevalence trajectory, so this model has its own
 //! outcome type instead of [`crate::DiffusionOutcome`].
 
+#![expect(clippy::indexing_slicing, reason = "states sized to the snapshot")]
 use rand::Rng;
 
-// xtask-allow: hotpath -- DiGraph is imported only for the documented one-off convenience wrapper
-use lcrb_graph::{CsrGraph, DiGraph};
+use lcrb_graph::CsrGraph;
 
 use crate::ic::InvalidProbabilityError;
 use crate::{SeedSets, SimWorkspace};
@@ -125,25 +125,6 @@ impl CompetitiveSisModel {
         self.recovery
     }
 
-    /// Runs the process for `steps` steps, snapshotting the graph and
-    /// allocating a fresh workspace. Batch callers should use
-    /// [`CompetitiveSisModel::run_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` refers to nodes outside `graph`.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        // xtask-allow: hotpath -- documented cold-path convenience wrapper; snapshots then delegates to run_into
-        graph: &DiGraph,
-        seeds: &SeedSets,
-        rng: &mut R,
-    ) -> SisOutcome {
-        let csr = CsrGraph::from(graph);
-        let mut ws = SimWorkspace::new();
-        self.run_into(&csr, seeds, &mut ws, rng)
-    }
-
     /// Runs the process against a frozen snapshot, keeping the hot
     /// double-buffered state in `ws` so repeated runs only allocate
     /// for the returned outcome (trace + final states).
@@ -240,7 +221,7 @@ impl CompetitiveSisModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcrb_graph::generators;
+    use lcrb_graph::{generators, DiGraph};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -267,7 +248,8 @@ mod tests {
         let g = generators::complete_graph(10);
         let m = CompetitiveSisModel::new(0.0, 0.0, 1.0, 5).unwrap();
         let mut rng = SmallRng::seed_from_u64(1);
-        let o = m.run(&g, &seeds(&g, &[0], &[1]), &mut rng);
+        let (csr, s) = (CsrGraph::from(&g), seeds(&g, &[0], &[1]));
+        let o = m.run_into(&csr, &s, &mut SimWorkspace::new(), &mut rng);
         // Seeds recover at step 1 and nothing ever spreads.
         assert_eq!(o.final_infected(), 0);
         assert_eq!(o.final_protected(), 0);
@@ -280,7 +262,8 @@ mod tests {
         let g = generators::complete_graph(8);
         let m = CompetitiveSisModel::new(1.0, 0.0, 0.0, 3).unwrap();
         let mut rng = SmallRng::seed_from_u64(2);
-        let o = m.run(&g, &seeds(&g, &[0], &[]), &mut rng);
+        let (csr, s) = (CsrGraph::from(&g), seeds(&g, &[0], &[]));
+        let o = m.run_into(&csr, &s, &mut SimWorkspace::new(), &mut rng);
         assert_eq!(o.final_infected(), 8);
         // Saturated after one step on a complete graph.
         assert_eq!(o.trace[1].infected, 8);
@@ -292,9 +275,10 @@ mod tests {
         // certain transmission: protector wins every time.
         let g = DiGraph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
         let m = CompetitiveSisModel::new(1.0, 1.0, 0.0, 1).unwrap();
+        let (csr, mut ws) = (CsrGraph::from(&g), SimWorkspace::new());
         for s in 0..20 {
             let mut rng = SmallRng::seed_from_u64(s);
-            let o = m.run(&g, &seeds(&g, &[0], &[1]), &mut rng);
+            let o = m.run_into(&csr, &seeds(&g, &[0], &[1]), &mut ws, &mut rng);
             assert_eq!(o.final_states[2], SisState::Protected);
         }
     }
@@ -306,7 +290,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let g = generators::gnm_directed(200, 1600, &mut rng).unwrap();
         let m = CompetitiveSisModel::new(0.3, 0.0, 0.2, 60).unwrap();
-        let o = m.run(&g, &seeds(&g, &[0, 1, 2], &[]), &mut rng);
+        let (csr, s) = (CsrGraph::from(&g), seeds(&g, &[0, 1, 2], &[]));
+        let o = m.run_into(&csr, &s, &mut SimWorkspace::new(), &mut rng);
         let tail_avg: f64 = o.trace[40..].iter().map(|r| r.infected as f64).sum::<f64>() / 21.0;
         assert!(tail_avg > 40.0, "endemic prevalence too low: {tail_avg}");
         // And never exceeds the population.
@@ -317,10 +302,11 @@ mod tests {
     fn protectors_suppress_endemic_rumor() {
         let mut rng = SmallRng::seed_from_u64(4);
         let g = generators::gnm_directed(150, 1200, &mut rng).unwrap();
+        let csr = CsrGraph::from(&g);
         let run = |protectors: &[usize], rng: &mut SmallRng| {
             let m = CompetitiveSisModel::new(0.25, 0.4, 0.2, 80).unwrap();
             let s = seeds(&g, &[0, 1], protectors);
-            let o = m.run(&g, &s, rng);
+            let o = m.run_into(&csr, &s, &mut SimWorkspace::new(), rng);
             o.trace[60..].iter().map(|r| r.infected as f64).sum::<f64>() / 21.0
         };
         let without = run(&[], &mut rng);
@@ -336,7 +322,8 @@ mod tests {
         let g = generators::path_graph(5);
         let m = CompetitiveSisModel::new(0.5, 0.5, 0.1, 12).unwrap();
         let mut rng = SmallRng::seed_from_u64(5);
-        let o = m.run(&g, &seeds(&g, &[0], &[]), &mut rng);
+        let (csr, s) = (CsrGraph::from(&g), seeds(&g, &[0], &[]));
+        let o = m.run_into(&csr, &s, &mut SimWorkspace::new(), &mut rng);
         assert_eq!(o.trace.len(), 13);
         assert_eq!(o.final_states.len(), 5);
         for (i, r) in o.trace.iter().enumerate() {
@@ -345,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn run_into_matches_run_across_workspace_reuses() {
+    fn workspace_reuse_matches_fresh_runs() {
         let mut r = SmallRng::seed_from_u64(11);
         let g = generators::gnm_directed(50, 300, &mut r).unwrap();
         let csr = CsrGraph::from(&g);
@@ -356,7 +343,7 @@ mod tests {
             let mut a = SmallRng::seed_from_u64(seed);
             let mut b = SmallRng::seed_from_u64(seed);
             let fast = m.run_into(&csr, &s, &mut ws, &mut a);
-            let reference = m.run(&g, &s, &mut b);
+            let reference = m.run_into(&csr, &s, &mut SimWorkspace::new(), &mut b);
             assert_eq!(fast, reference, "seed {seed}");
         }
     }

@@ -52,6 +52,7 @@
 //! steady-state generation performs no allocation and touches only
 //! O(|reached|) state, not O(n).
 
+#![expect(clippy::indexing_slicing, reason = "offsets hold count + 1 entries")]
 use lcrb_graph::{CsrGraph, NodeId};
 
 use crate::budget::{StopReason, WorkMeter};

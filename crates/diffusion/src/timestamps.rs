@@ -15,7 +15,10 @@
 //!   its smallest rumor stamp (the arrival-order condition of
 //!   Lemma 2).
 
-// xtask-allow-file: index -- attribution/status arrays are node_count-sized at run start; nodes come from the same snapshot
+#![expect(
+    clippy::indexing_slicing,
+    reason = "attribution/status arrays are node_count-sized at run start; nodes come from the same snapshot"
+)]
 use std::collections::BTreeMap;
 
 use lcrb_graph::{DiGraph, NodeId};
@@ -169,7 +172,10 @@ pub fn run_opoao_timestamped(
             let degree = graph.out_degree(u);
             let idx = realization.choice(u, hop, degree);
             let target = graph.out_neighbors(u)[idx];
-            // xtask-allow: panic -- nodes enter `live` only after their attribution slot is written
+            #[expect(
+                clippy::expect_used,
+                reason = "nodes enter `live` only after their attribution slot is written"
+            )]
             let seed = attribution[u.index()].expect("active nodes are attributed");
             // Record the stamp (smallest per seed).
             let entry = stamps.entry((u, target)).or_default();

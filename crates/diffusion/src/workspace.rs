@@ -11,6 +11,7 @@
 //! epoch stamp: starting a new run bumps the epoch instead of clearing
 //! the arrays, making run startup O(seeds) rather than O(n).
 
+#![expect(clippy::indexing_slicing, reason = "`begin` sizes every buffer")]
 use lcrb_graph::NodeId;
 
 use crate::sis::SisState;

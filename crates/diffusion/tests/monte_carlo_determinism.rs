@@ -6,6 +6,7 @@
 //! standard deviation. The run counts below are deliberately not
 //! divisible by the thread counts so the partitions are uneven.
 
+#![allow(clippy::expect_used, reason = "test code")]
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

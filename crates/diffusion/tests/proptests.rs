@@ -1,16 +1,29 @@
 //! Property-based tests for the diffusion engine.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing, reason = "test code")]
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use lcrb_diffusion::{
     doam_analytic, doam_safe_targets, monte_carlo, rr_sketch_into, CompetitiveIcModel,
-    CompetitiveLtModel, CompetitiveSisModel, DoamModel, IcRealization, MonteCarloConfig,
-    OpoaoModel, OpoaoRealization, RrScratch, SeedSets, SimWorkspace, SisState, SketchBatch, Status,
-    TwoCascadeModel,
+    CompetitiveLtModel, CompetitiveSisModel, DiffusionOutcome, DoamModel, IcRealization,
+    MonteCarloConfig, OpoaoModel, OpoaoRealization, RrScratch, SeedSets, SimWorkspace, SisState,
+    SketchBatch, Status, TwoCascadeModel,
 };
 use lcrb_graph::{CsrGraph, DiGraph, NodeId};
+
+/// One run of `model` in a fresh workspace, materialized.
+fn fresh_run(
+    model: &impl TwoCascadeModel,
+    csr: &CsrGraph,
+    seeds: &SeedSets,
+    rng: &mut SmallRng,
+) -> DiffusionOutcome {
+    let mut ws = SimWorkspace::new();
+    model.run_into(csr, seeds, &mut ws, rng);
+    ws.to_outcome()
+}
 
 /// Strategy: a random graph plus disjoint rumor/protector seeds.
 fn arb_instance() -> impl Strategy<Value = (DiGraph, SeedSets)> {
@@ -64,12 +77,13 @@ proptest! {
     #[test]
     fn seeds_keep_their_status_under_every_model((g, seeds) in arb_instance(), seed in 0u64..64) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        type ModelRun<'a> = Box<dyn Fn(&mut SmallRng) -> lcrb_diffusion::DiffusionOutcome + 'a>;
+        let csr = CsrGraph::from(&g);
+        type ModelRun<'a> = Box<dyn Fn(&mut SmallRng) -> DiffusionOutcome + 'a>;
         let models: Vec<ModelRun> = vec![
-            Box::new(|r| OpoaoModel::default().run(&g, &seeds, r)),
-            Box::new(|r| DoamModel::default().run(&g, &seeds, r)),
-            Box::new(|r| CompetitiveIcModel::new(0.4).unwrap().run(&g, &seeds, r)),
-            Box::new(|r| CompetitiveLtModel::default().run(&g, &seeds, r)),
+            Box::new(|r| fresh_run(&OpoaoModel::default(), &csr, &seeds, r)),
+            Box::new(|r| fresh_run(&DoamModel::default(), &csr, &seeds, r)),
+            Box::new(|r| fresh_run(&CompetitiveIcModel::new(0.4).unwrap(), &csr, &seeds, r)),
+            Box::new(|r| fresh_run(&CompetitiveLtModel::default(), &csr, &seeds, r)),
         ];
         for run in models {
             let o = run(&mut rng);
@@ -97,7 +111,7 @@ proptest! {
         // In every model, a node activated at hop t > 0 has an
         // in-neighbor activated strictly earlier.
         let mut rng = SmallRng::seed_from_u64(seed);
-        let o = OpoaoModel::default().run(&g, &seeds, &mut rng);
+        let o = fresh_run(&OpoaoModel::default(), &CsrGraph::from(&g), &seeds, &mut rng);
         for v in g.nodes() {
             if let Some(t) = o.activation_hop(v) {
                 if t > 0 {
@@ -183,7 +197,7 @@ proptest! {
     fn sis_trace_is_conserved_and_seeded_correctly((g, seeds) in arb_instance(), seed in 0u64..64) {
         let model = CompetitiveSisModel::new(0.3, 0.3, 0.2, 15).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let o = model.run(&g, &seeds, &mut rng);
+        let o = model.run_into(&CsrGraph::from(&g), &seeds, &mut SimWorkspace::new(), &mut rng);
         prop_assert_eq!(o.trace.len(), 16);
         prop_assert_eq!(o.trace[0].infected, seeds.rumors().len());
         prop_assert_eq!(o.trace[0].protected, seeds.protectors().len());
@@ -203,8 +217,9 @@ proptest! {
         let model = CompetitiveSisModel::new(0.25, 0.35, 0.15, 12).unwrap();
         let mut r1 = SmallRng::seed_from_u64(seed);
         let mut r2 = SmallRng::seed_from_u64(seed);
-        let a = model.run(&g, &seeds, &mut r1);
-        let b = model.run(&g, &seeds, &mut r2);
+        let csr = CsrGraph::from(&g);
+        let a = model.run_into(&csr, &seeds, &mut SimWorkspace::new(), &mut r1);
+        let b = model.run_into(&csr, &seeds, &mut SimWorkspace::new(), &mut r2);
         prop_assert_eq!(a.final_states, b.final_states);
         prop_assert_eq!(a.trace, b.trace);
     }
@@ -395,10 +410,9 @@ proptest! {
     }
 }
 
-// run_into ≡ run equivalence and workspace hygiene. `run` delegates
-// to `run_into` with a *fresh* workspace; comparing it against a
-// workspace reused across arbitrary earlier runs proves the epoch
-// reset leaks nothing between runs.
+// Workspace hygiene: comparing a run in a workspace reused across
+// arbitrary earlier runs against the same run in a *fresh* workspace
+// proves the epoch reset leaks nothing between runs.
 proptest! {
     #[test]
     fn run_into_with_reused_workspace_matches_fresh_run_for_every_model(
@@ -420,7 +434,7 @@ proptest! {
                 let mut a = SmallRng::seed_from_u64(seed);
                 let mut b = SmallRng::seed_from_u64(seed);
                 $model.run_into(&csr, &seeds, &mut ws, &mut a);
-                let fresh = $model.run(&g, &seeds, &mut b);
+                let fresh = fresh_run(&$model, &csr, &seeds, &mut b);
                 prop_assert_eq!(ws.to_outcome(), fresh, $name);
             }};
         }
@@ -433,7 +447,8 @@ proptest! {
         let mut a = SmallRng::seed_from_u64(seed);
         let mut b = SmallRng::seed_from_u64(seed);
         let fast = sis.run_into(&csr, &seeds, &mut ws, &mut a);
-        prop_assert_eq!(fast, sis.run(&g, &seeds, &mut b), "sis");
+        let fresh = sis.run_into(&csr, &seeds, &mut SimWorkspace::new(), &mut b);
+        prop_assert_eq!(fast, fresh, "sis");
     }
 
     #[test]
@@ -453,11 +468,11 @@ proptest! {
             let mut b = SmallRng::seed_from_u64(s);
             if i % 2 == 0 {
                 OpoaoModel::new(8).run_into(&csr, &seeds, &mut ws, &mut a);
-                let fresh = OpoaoModel::new(8).run(&g, &seeds, &mut b);
+                let fresh = fresh_run(&OpoaoModel::new(8), &csr, &seeds, &mut b);
                 prop_assert_eq!(ws.to_outcome(), fresh);
             } else {
                 CompetitiveIcModel::new(0.5).unwrap().run_into(&csr, &seeds, &mut ws, &mut a);
-                let fresh = CompetitiveIcModel::new(0.5).unwrap().run(&g, &seeds, &mut b);
+                let fresh = fresh_run(&CompetitiveIcModel::new(0.5).unwrap(), &csr, &seeds, &mut b);
                 prop_assert_eq!(ws.to_outcome(), fresh);
             }
         }

@@ -4,7 +4,10 @@
 //! synthetic datasets and to reason about protector placement:
 //! bridge ends with high betweenness sit on many escape paths.
 
-// xtask-allow-file: index -- the Brandes buffers are node-indexed arrays sized together before each source's pass
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the Brandes buffers are node-indexed arrays sized together before each source's pass"
+)]
 use std::collections::VecDeque;
 
 use crate::{DiGraph, NodeId};

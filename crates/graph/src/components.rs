@@ -1,6 +1,9 @@
 //! Connected components: weak (undirected sense) and strong (Tarjan).
 
-// xtask-allow-file: index -- Tarjan/Kosaraju index and lowlink arrays are node_count-sized and indexed by the graph's own NodeIds
+#![expect(
+    clippy::indexing_slicing,
+    reason = "Tarjan/Kosaraju index and lowlink arrays are node_count-sized and indexed by the graph's own NodeIds"
+)]
 use crate::{DiGraph, NodeId, UnionFind};
 
 /// Labels every node with the index of its weakly connected component
@@ -108,7 +111,10 @@ pub fn strongly_connected_components(g: &DiGraph) -> Vec<Vec<NodeId>> {
                 if lowlink[v.index()] == index[v.index()] {
                     let mut component = Vec::new();
                     loop {
-                        // xtask-allow: panic -- Tarjan invariant: v is on the stack when its SCC is popped
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "Tarjan invariant: v is on the stack when its SCC is popped"
+                        )]
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w.index()] = false;
                         component.push(w);

@@ -1,6 +1,9 @@
 //! Immutable compressed-sparse-row snapshot of a directed graph.
 
-// xtask-allow-file: index -- offset arrays hold node_count+1 entries by construction; the invariants are enforced by CsrGraph::validate in debug builds
+#![expect(
+    clippy::indexing_slicing,
+    reason = "offset arrays hold node_count+1 entries by construction; the invariants are enforced by CsrGraph::validate in debug builds"
+)]
 use crate::{DiGraph, GraphError, NodeId};
 
 /// A frozen, cache-friendly snapshot of a [`DiGraph`] in compressed

@@ -1,6 +1,9 @@
 //! The mutable adjacency-list directed graph.
 
-// xtask-allow-file: index -- adjacency vectors are indexed by NodeIds validated on insertion against node_count
+#![expect(
+    clippy::indexing_slicing,
+    reason = "adjacency vectors are indexed by NodeIds validated on insertion against node_count"
+)]
 use std::collections::HashSet;
 
 use crate::{GraphError, NodeId};

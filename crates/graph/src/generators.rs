@@ -5,7 +5,10 @@
 //! (see DESIGN.md §3). All stochastic generators take an explicit
 //! `&mut impl Rng` so experiments are reproducible from a seed.
 
-// xtask-allow-file: index -- generator-owned arrays are indexed by ids drawn below the requested node count
+#![expect(
+    clippy::indexing_slicing,
+    reason = "generator-owned arrays are indexed by ids drawn below the requested node count"
+)]
 use core::fmt;
 
 use rand::seq::SliceRandom;
@@ -680,7 +683,10 @@ pub fn community_chung_lu<R: Rng + ?Sized>(
         prefix
     };
     let draw = |prefix: &[f64], rng: &mut R| -> usize {
-        // xtask-allow: panic -- callers pass a prefix-sum slice built from a non-empty degree vector
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pass a prefix-sum slice built from a non-empty degree vector"
+        )]
         let total = *prefix.last().expect("non-empty prefix");
         let x = rng.gen_range(0.0..total);
         // partition_point: first index with prefix[i] > x; node is i-1.

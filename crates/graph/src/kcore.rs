@@ -6,7 +6,10 @@
 //! sit in densely knit regions, which correlates with how fast they
 //! can relay a protector cascade.
 
-// xtask-allow-file: index -- degree/bin/position arrays are node_count-sized and permuted together by the peeling loop
+#![expect(
+    clippy::indexing_slicing,
+    reason = "degree/bin/position arrays are node_count-sized and permuted together by the peeling loop"
+)]
 use crate::{DiGraph, NodeId};
 
 /// The result of [`core_decomposition`].

@@ -42,10 +42,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod betweenness;
 pub mod components;
 mod csr;

@@ -2,7 +2,10 @@
 //! synthetic datasets against the statistics the paper reports
 //! (average node degree, density, etc.).
 
-// xtask-allow-file: index -- degree histograms are indexed by degrees, which are bounded by node_count
+#![expect(
+    clippy::indexing_slicing,
+    reason = "degree histograms are indexed by degrees, which are bounded by node_count"
+)]
 use crate::DiGraph;
 
 /// Average out-degree, `m / n` (0 for the empty graph).

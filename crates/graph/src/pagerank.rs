@@ -5,7 +5,10 @@
 //! PageRank protector-selection baseline in the `lcrb` crate (an
 //! extension beyond the paper's MaxDegree/Proximity heuristics).
 
-// xtask-allow-file: index -- rank vectors are node_count-sized and swapped wholesale each iteration
+#![expect(
+    clippy::indexing_slicing,
+    reason = "rank vectors are node_count-sized and swapped wholesale each iteration"
+)]
 use crate::DiGraph;
 
 /// Configuration for [`pagerank`].

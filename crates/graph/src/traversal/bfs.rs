@@ -5,7 +5,10 @@
 //! (Algorithm 3 step 4), and the analytic DOAM oracle all reduce to
 //! (multi-source, possibly depth-bounded, possibly filtered) BFS.
 
-// xtask-allow-file: index -- distance arrays are node_count-sized and queues only hold NodeIds of the traversed graph
+#![expect(
+    clippy::indexing_slicing,
+    reason = "distance arrays are node_count-sized and queues only hold NodeIds of the traversed graph"
+)]
 use std::collections::VecDeque;
 
 use crate::{DiGraph, NodeId};
@@ -101,7 +104,10 @@ where
         }
     }
     while let Some(v) = queue.pop_front() {
-        // xtask-allow: panic -- BFS invariant: a distance is written before the node is enqueued
+        #[expect(
+            clippy::expect_used,
+            reason = "BFS invariant: a distance is written before the node is enqueued"
+        )]
         let d = dist[v.index()].expect("queued node has a distance");
         if d >= max_depth || !expand(v) {
             continue;
@@ -184,7 +190,10 @@ where
         }
     }
     while let Some(v) = queue.pop_front() {
-        // xtask-allow: panic -- BFS invariant: a distance is written before the node is enqueued
+        #[expect(
+            clippy::expect_used,
+            reason = "BFS invariant: a distance is written before the node is enqueued"
+        )]
         let d = dist[v.index()].expect("queued node has a distance");
         if d >= max_depth || !expand(v) {
             continue;
@@ -230,7 +239,10 @@ pub fn relax_with_source(g: &DiGraph, dist: &mut [Option<u32>], source: NodeId) 
     let mut queue = VecDeque::new();
     queue.push_back(source);
     while let Some(v) = queue.pop_front() {
-        // xtask-allow: panic -- BFS invariant: a distance is written before the node is enqueued
+        #[expect(
+            clippy::expect_used,
+            reason = "BFS invariant: a distance is written before the node is enqueued"
+        )]
         let d = dist[v.index()].expect("queued node has a distance");
         for &w in g.out_neighbors(v) {
             if better(dist[w.index()], d + 1) {
@@ -261,7 +273,10 @@ pub fn bfs_distances_csr(g: &crate::CsrGraph, sources: &[NodeId]) -> Vec<Option<
         }
     }
     while let Some(v) = queue.pop_front() {
-        // xtask-allow: panic -- BFS invariant: a distance is written before the node is enqueued
+        #[expect(
+            clippy::expect_used,
+            reason = "BFS invariant: a distance is written before the node is enqueued"
+        )]
         let d = dist[v.index()].expect("queued node has a distance");
         for &w in g.out_neighbors(v) {
             if dist[w.index()].is_none() {

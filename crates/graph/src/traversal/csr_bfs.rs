@@ -8,6 +8,7 @@
 //! tracked with an epoch stamp, so starting a new traversal is O(1)
 //! instead of an O(n) clear.
 
+#![expect(clippy::indexing_slicing, reason = "`begin` sizes stamp and dist")]
 use std::collections::VecDeque;
 
 use super::Direction;

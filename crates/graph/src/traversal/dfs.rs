@@ -1,6 +1,9 @@
 //! Depth-first search, reachability, and topological sorting.
 
-// xtask-allow-file: index -- state and indegree arrays are node_count-sized and indexed by the graph's own NodeIds
+#![expect(
+    clippy::indexing_slicing,
+    reason = "state and indegree arrays are node_count-sized and indexed by the graph's own NodeIds"
+)]
 use crate::{DiGraph, NodeId};
 
 /// Visits all nodes reachable from `source` in depth-first preorder.
@@ -130,10 +133,13 @@ pub fn topological_sort(g: &DiGraph) -> Result<Vec<NodeId>, CycleError> {
     if order.len() == g.node_count() {
         Ok(order)
     } else {
+        #[expect(
+            clippy::expect_used,
+            reason = "a cycle detected by Kahn's algorithm leaves at least one node with residual indegree"
+        )]
         let node = g
             .nodes()
             .find(|&v| indegree[v.index()] > 0)
-            // xtask-allow: panic -- a cycle detected by Kahn's algorithm leaves at least one node with residual indegree
             .expect("a cyclic graph has a node with positive residual indegree");
         Err(CycleError { node })
     }

@@ -1,6 +1,9 @@
 //! Disjoint-set (union-find) structure.
 
-// xtask-allow-file: index -- parent/rank arrays are sized at construction and find() only follows stored parent indices
+#![expect(
+    clippy::indexing_slicing,
+    reason = "parent/rank arrays are sized at construction and find() only follows stored parent indices"
+)]
 /// A union-find structure over dense `usize` indices with union by
 /// size and path halving.
 ///

@@ -34,10 +34,6 @@
 //!
 //! [`Solver`]: ../lcrb/engine/struct.Solver.html
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub use std::sync::{LockResult, PoisonError};
 
 pub mod fault;

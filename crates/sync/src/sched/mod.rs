@@ -32,6 +32,11 @@
 //! whichever logical thread executes it, exercising drop-guard
 //! recovery paths under every explored schedule.
 
+#![expect(
+    clippy::panic,
+    clippy::indexing_slicing,
+    reason = "model checker: panics abort a run"
+)]
 pub(crate) mod core;
 pub mod facade;
 

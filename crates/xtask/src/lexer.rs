@@ -60,8 +60,6 @@ pub struct Pragma {
     pub rules: Vec<String>,
     /// `true` if a non-empty justification followed ` -- `.
     pub has_justification: bool,
-    /// `true` for `xtask-allow-file:` (whole-file scope).
-    pub file_level: bool,
     /// Line the pragma comment appears on.
     pub line: usize,
     /// `true` if code tokens precede the comment on the same line
@@ -302,17 +300,10 @@ fn skip_raw_or_byte(bytes: &[char], mut i: usize, line: &mut usize) -> usize {
 ///
 /// ```text
 /// // xtask-allow: rule[, rule]* -- justification text
-/// // xtask-allow-file: rule[, rule]* -- justification text
 /// ```
 fn parse_pragma(comment: &str, line: usize) -> Option<Pragma> {
     let body = comment.trim_start_matches('/').trim();
-    let (file_level, rest) = if let Some(r) = body.strip_prefix("xtask-allow-file:") {
-        (true, r)
-    } else if let Some(r) = body.strip_prefix("xtask-allow:") {
-        (false, r)
-    } else {
-        return None;
-    };
+    let rest = body.strip_prefix("xtask-allow:")?;
     let (rule_part, justification) = match rest.split_once("--") {
         Some((rules, just)) => (rules, just.trim()),
         None => (rest, ""),
@@ -325,7 +316,6 @@ fn parse_pragma(comment: &str, line: usize) -> Option<Pragma> {
     Some(Pragma {
         rules,
         has_justification: !justification.is_empty(),
-        file_level,
         line,
         trailing: false,
     })
@@ -372,21 +362,20 @@ real.unwrap();
     #[test]
     fn parses_trailing_and_own_line_pragmas() {
         let src = "\
-// xtask-allow: panic -- invariant: queue is non-empty\n\
-x.unwrap(); // xtask-allow: index -- bounds checked above\n\
-// xtask-allow-file: index\n";
+// xtask-allow: hotpath -- one-time setup allocation\n\
+x.clone(); // xtask-allow: bufclone -- result materialization\n\
+// xtask-allow: collect\n";
         let lexed = lex(src);
         assert_eq!(lexed.pragmas.len(), 3);
         assert!(!lexed.pragmas[0].trailing);
         assert!(lexed.pragmas[0].has_justification);
         assert!(lexed.pragmas[1].trailing);
-        assert!(lexed.pragmas[2].file_level);
         assert!(!lexed.pragmas[2].has_justification);
     }
 
     #[test]
     fn doc_comments_cannot_carry_pragmas() {
-        let lexed = lex("/// xtask-allow: panic -- not a real pragma\n");
+        let lexed = lex("/// xtask-allow: hotpath -- not a real pragma\n");
         assert!(lexed.pragmas.is_empty());
     }
 }

@@ -3,14 +3,16 @@
 //! Repo-specific static analysis for the LCRB reproduction, exposed
 //! as `cargo xtask lint` (see `.cargo/config.toml`).
 //!
-//! A generic linter cannot see the properties this reproduction
-//! depends on: the greedy approximation guarantee rests on coupled
-//! random realizations (so unseeded RNGs and hash-order iteration are
-//! correctness bugs, not style), the CSR/workspace kernel keeps its
-//! measured speedup only while hot modules stay allocation-free and
-//! snapshot-based, and the shared `Solver` session rests on
-//! cross-file invariants (lock acquisition order, epoch-carrying
-//! cache keys) no single file shows.
+//! It checks only what rustc and clippy cannot. The library
+//! panic/index policy, the clock/entropy bans and the crate-root lint
+//! prelude are compiler-backed: the workspace `[lints]` table and
+//! `clippy.toml`. What a generic linter cannot see: the greedy
+//! approximation guarantee rests on coupled random realizations (so
+//! hash-order iteration is a correctness bug, not style), the
+//! CSR/workspace kernel keeps its measured speedup only while hot
+//! modules stay allocation-free and snapshot-based, and the shared
+//! `Solver` session rests on cross-file invariants (lock acquisition
+//! order, epoch-carrying cache keys) no single file shows.
 //!
 //! The tool runs in **two phases**:
 //!
@@ -31,10 +33,7 @@
 //! deterministic: files are walked in sorted order and diagnostics
 //! are sorted before printing.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
+#![allow(clippy::indexing_slicing, reason = "dev tooling")]
 pub mod lexer;
 pub mod model;
 pub mod rules;

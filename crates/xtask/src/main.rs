@@ -3,10 +3,6 @@
 //! Currently one subcommand: `lint`, the two-phase static analysis
 //! pass described in `xtask`'s crate docs and DESIGN.md §9.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -101,10 +97,12 @@ fn print_usage() {
          \n\
          Subcommands:\n\
          \x20 lint   run the repo static-analysis pass: per-file families\n\
-         \x20        (determinism, panic surface, hot-path discipline,\n\
-         \x20        attribute hygiene, ...) plus the cross-file families on\n\
-         \x20        the workspace model (lockorder, epochkey, hotreach,\n\
-         \x20        cancelpoint, pubapi)\n\
+         \x20        (hash-order determinism, hot-path discipline,\n\
+         \x20        concurrency, doc examples, ...) plus the cross-file\n\
+         \x20        families on the workspace model (lockorder, epochkey,\n\
+         \x20        hotreach, cancelpoint, pubapi). The panic/index,\n\
+         \x20        clock/entropy and crate-prelude policy is compiler-\n\
+         \x20        backed: `cargo clippy --workspace --all-targets`\n\
          \n\
          Options:\n\
          \x20 --format json   machine-readable output (one JSON document)\n\

@@ -4,17 +4,17 @@
 //! `pubapi` — live in [`crate::wrules`] and run against the
 //! [`crate::model`] workspace model.)
 //!
-//! Nine per-file rule families guard the invariants the paper
-//! reproduction depends on (see DESIGN.md §"Static analysis layer"):
+//! Six per-file rule families guard the invariants the paper
+//! reproduction depends on that rustc and clippy cannot express (see
+//! DESIGN.md §"Static analysis layer"). The compiler-backed half of
+//! the policy — no `unwrap`/`expect`/`panic!`/unchecked indexing in
+//! library code, no wall clock or OS entropy, the crate-root lint
+//! prelude — lives in the workspace `[lints]` table and `clippy.toml`.
 //!
 //! - `determinism` — the LCRB-P greedy is only (1 − 1/e)-approximate
 //!   because σ(·) is estimated over coupled random realizations
-//!   (§V-A of the paper); an unseeded RNG, a wall-clock call, or
-//!   hash-order iteration in result-producing code silently voids
-//!   that guarantee.
-//! - `panic` / `index` — library code reports failures through
-//!   `LcrbError`/`GraphError`; panics are reserved for documented
-//!   invariant breaches, each carrying an `xtask-allow` justification.
+//!   (§V-A of the paper); hash-order iteration in result-producing
+//!   code silently voids that guarantee.
 //! - `hotpath` — the CSR/workspace kernel keeps its speedup only
 //!   while hot modules stay allocation-free and snapshot-based; any
 //!   `DiGraph` reference or container allocation there is flagged.
@@ -27,15 +27,13 @@
 //!   swap instead of copying. Result-materialization copies at query
 //!   boundaries are fine, but each carries an `xtask-allow` so the
 //!   copy is a documented decision rather than an accident.
-//! - `attributes` — every crate root carries the standard prelude
-//!   (`forbid(unsafe_code)`, `deny(missing_docs)`,
-//!   `warn(missing_debug_implementations)`).
 //! - `concurrency` — the shared `Solver` session (ISSUE 7) splits
 //!   state three ways: request-immutable, internally synchronized,
-//!   and per-request. Global mutable state (`static mut`, `static`s
-//!   with interior mutability) bypasses that split, and a lock guard
-//!   held across a call into a hot-module kernel serializes the very
-//!   work `solve_many` fans out; both are flagged in library code.
+//!   and per-request. A `static` with interior mutability bypasses
+//!   that split (`static mut` needs `unsafe`, which the workspace
+//!   forbids outright), and a lock guard held across a call into a
+//!   hot-module kernel serializes the very work `solve_many` fans
+//!   out; both are flagged in library code.
 //! - `docexample` — the session types (`Solver`, `SolveRequest`,
 //!   `SolveReport`) are the crate's front door; every `pub fn` in
 //!   their inherent impls must carry a doc comment with a fenced
@@ -45,19 +43,16 @@ use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Lexed, TokKind, Token};
 
-/// Rule identifiers accepted by `xtask-allow` pragmas. The first nine
+/// Rule identifiers accepted by `xtask-allow` pragmas. The first six
 /// are per-file families; `lockorder`, `epochkey`, `hotreach`,
 /// `cancelpoint`, and `pubapi` are the cross-file families run
 /// against the workspace model ([`crate::model`] /
 /// [`crate::wrules`]).
-pub const KNOWN_RULES: [&str; 14] = [
+pub const KNOWN_RULES: [&str; 11] = [
     "determinism",
-    "panic",
-    "index",
     "hotpath",
     "collect",
     "bufclone",
-    "attributes",
     "concurrency",
     "docexample",
     "lockorder",
@@ -89,12 +84,6 @@ pub(crate) const HOT_FILES: [&str; 13] = [
     "crates/core/src/greedy.rs",
     "crates/core/src/scbg.rs",
     "crates/core/src/sketch_objective.rs",
-];
-
-/// Keywords that may directly precede `[` without forming an index
-/// expression (`&mut [T]`, `as [u8; 4]`, ...).
-const NON_INDEX_KEYWORDS: [&str; 12] = [
-    "mut", "dyn", "as", "in", "return", "break", "else", "move", "ref", "static", "const", "box",
 ];
 
 /// Hot-module entry points a lock guard must not be held across: any
@@ -144,11 +133,8 @@ const HASH_ITER_METHODS: [&str; 9] = [
 /// Which rule families apply to a file.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FileClass {
-    /// Crate root that must carry the attribute prelude.
-    pub attributes_root: bool,
-    /// Library code subject to `panic`/`index` and banned
-    /// nondeterministic calls.
-    pub panic_scope: bool,
+    /// Library code subject to `concurrency` and `docexample`.
+    pub library: bool,
     /// Subject to the hash-iteration determinism check.
     pub determinism_iteration: bool,
     /// Member of the declared hot-module list.
@@ -199,34 +185,23 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
             return None;
         }
     }
-    // The bench harness and this tool itself are dev tooling: only
-    // the attribute prelude applies to their crate roots.
-    if rel_path.starts_with("crates/bench/") {
-        return (rel_path == "crates/bench/src/lib.rs").then(|| FileClass {
-            attributes_root: true,
-            ..FileClass::default()
-        });
-    }
-    if rel_path.starts_with("crates/xtask/") {
-        return (rel_path == "crates/xtask/src/lib.rs").then(|| FileClass {
-            attributes_root: true,
-            ..FileClass::default()
-        });
+    // The bench harness and this tool are dev tooling: only their
+    // crate roots are in scope, for the symbol graph and the `pubapi`
+    // baseline; no per-file family applies.
+    if rel_path.starts_with("crates/bench/") || rel_path.starts_with("crates/xtask/") {
+        return rel_path.ends_with("/src/lib.rs").then(FileClass::default);
     }
     // The deterministic-scheduler backend of `lcrb-sync` is test-only
-    // model-checking infrastructure: panicking threads are its abort
-    // mechanism, decision indices are replay bookkeeping, and TLS
-    // statics are its thread-identity plumbing — the panic/index/
-    // concurrency families don't apply. The files stay in scope
-    // (non-`None`) so the workspace symbol graph still sees the
-    // facade and the `pubapi` baseline covers its surface. The std
-    // passthrough backend ships in release builds and is classified
-    // like any library below.
+    // model-checking infrastructure: TLS statics are its
+    // thread-identity plumbing, so the `concurrency` family doesn't
+    // apply. The files stay in scope (non-`None`) so the workspace
+    // symbol graph still sees the facade and the `pubapi` baseline
+    // covers its surface. The std passthrough backend ships in release
+    // builds and is classified like any library below.
     if rel_path.starts_with("crates/sync/src/sched/") {
         return Some(FileClass::default());
     }
 
-    let mut class = FileClass::default();
     let crate_name = rel_path
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next());
@@ -238,12 +213,11 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     if !in_library {
         return None;
     }
-    class.panic_scope = true;
-    class.attributes_root = rel_path == "src/lib.rs"
-        || crate_name.is_some_and(|n| rel_path == format!("crates/{n}/src/lib.rs"));
-    class.determinism_iteration = crate_name.is_some_and(|n| DETERMINISM_CRATES.contains(&n));
-    class.hot = HOT_FILES.contains(&rel_path);
-    Some(class)
+    Some(FileClass {
+        library: true,
+        determinism_iteration: crate_name.is_some_and(|n| DETERMINISM_CRATES.contains(&n)),
+        hot: HOT_FILES.contains(&rel_path),
+    })
 }
 
 /// Lints one file's source text; returns all unsuppressed violations
@@ -268,12 +242,10 @@ pub(crate) fn lint_source_raw(rel_path: &str, source: &str, lexed: &Lexed) -> Ve
     let code = strip_test_code(&lexed.tokens);
 
     let mut raw = Vec::new();
-    check_determinism(&code, class, rel_path, &mut raw);
-    if class.panic_scope {
-        check_panic(&code, rel_path, &mut raw);
-        if !class.hot {
-            check_index(&code, rel_path, &mut raw);
-        }
+    if class.determinism_iteration {
+        check_determinism(&code, rel_path, &mut raw);
+    }
+    if class.library {
         check_concurrency(&code, rel_path, &mut raw);
         check_docexample(&code, source, rel_path, &mut raw);
     }
@@ -281,9 +253,6 @@ pub(crate) fn lint_source_raw(rel_path: &str, source: &str, lexed: &Lexed) -> Ve
         check_hotpath(&code, rel_path, &mut raw);
         check_collect(&code, rel_path, &mut raw);
         check_bufclone(&code, rel_path, &mut raw);
-    }
-    if class.attributes_root {
-        check_attributes(&lexed.tokens, rel_path, &mut raw);
     }
     raw
 }
@@ -361,38 +330,9 @@ fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
     (i, first_ident == Some("cfg") && mentions_test)
 }
 
-fn check_determinism(code: &[Token], class: FileClass, file: &str, out: &mut Vec<Violation>) {
-    for (i, t) in code.iter().enumerate() {
-        if t.is_ident("thread_rng") || t.is_ident("from_entropy") {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "determinism".to_owned(),
-                message: format!(
-                    "`{}` draws OS entropy; use a seeded `SmallRng`/`StdRng` so runs replay",
-                    t.text
-                ),
-            });
-        }
-        if (t.is_ident("SystemTime") || t.is_ident("Instant"))
-            && code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && code.get(i + 3).is_some_and(|t| t.is_ident("now"))
-        {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "determinism".to_owned(),
-                message: format!(
-                    "`{}::now()` makes results wall-clock dependent; thread timing through the caller",
-                    t.text
-                ),
-            });
-        }
-    }
-    if !class.determinism_iteration {
-        return;
-    }
+/// The hash-iteration half of the determinism policy (the clock and
+/// entropy bans are clippy's `disallowed_methods`, see `clippy.toml`).
+fn check_determinism(code: &[Token], file: &str, out: &mut Vec<Violation>) {
     // Identifiers bound to HashMap/HashSet in this file (let bindings
     // with type ascription or `= HashMap::new()`, and struct fields).
     let mut hash_bound: BTreeSet<String> = BTreeSet::new();
@@ -457,59 +397,6 @@ fn check_determinism(code: &[Token], class: FileClass, file: &str, out: &mut Vec
                     ),
                 });
             }
-        }
-    }
-}
-
-fn check_panic(code: &[Token], file: &str, out: &mut Vec<Violation>) {
-    for (i, t) in code.iter().enumerate() {
-        let next_is = |ch: char| code.get(i + 1).is_some_and(|n| n.is_punct(ch));
-        if (t.is_ident("unwrap") || t.is_ident("expect")) && next_is('(') {
-            // Exclude paths like `panic::unwrap` — there are none; a
-            // plain method/function call is what we care about.
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "panic".to_owned(),
-                message: format!(
-                    "`{}()` in library code; return an error (`LcrbError`/`GraphError`) or justify the invariant with `// xtask-allow: panic -- <why>`",
-                    t.text
-                ),
-            });
-        }
-        if (t.is_ident("panic") || t.is_ident("todo") || t.is_ident("unimplemented"))
-            && next_is('!')
-        {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "panic".to_owned(),
-                message: format!("`{}!` in library code; return an error instead", t.text),
-            });
-        }
-    }
-}
-
-fn check_index(code: &[Token], file: &str, out: &mut Vec<Violation>) {
-    for (i, t) in code.iter().enumerate() {
-        if !t.is_punct('[') || i == 0 {
-            continue;
-        }
-        let prev = &code[i - 1];
-        let is_index_expr = match prev.kind {
-            TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-            TokKind::Punct => prev.is_punct(')') || prev.is_punct(']'),
-            _ => false,
-        };
-        if is_index_expr {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "index".to_owned(),
-                message:
-                    "slice index can panic; use `.get()` or justify the bound with an `xtask-allow`"
-                        .to_owned(),
-            });
         }
     }
 }
@@ -637,12 +524,7 @@ fn check_bufclone(code: &[Token], file: &str, out: &mut Vec<Violation>) {
             continue;
         }
         let recv = &code[i - 2];
-        let is_value_receiver = match recv.kind {
-            TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&recv.text.as_str()),
-            TokKind::Punct => recv.is_punct(')') || recv.is_punct(']'),
-            _ => false,
-        };
-        if is_value_receiver {
+        if recv.kind == TokKind::Ident || recv.is_punct(')') || recv.is_punct(']') {
             out.push(Violation {
                 file: file.to_owned(),
                 line: t.line,
@@ -656,15 +538,14 @@ fn check_bufclone(code: &[Token], file: &str, out: &mut Vec<Violation>) {
     }
 }
 
-/// The `concurrency` family (ISSUE 7): three lexical checks that keep
+/// The `concurrency` family (ISSUE 7): two lexical checks that keep
 /// shared state inside the `Solver`'s synchronized split.
 ///
-/// 1. `static mut` — unsynchronized global state, never sound here.
-/// 2. A `static` whose type mentions an interior-mutability primitive
+/// 1. A `static` whose type mentions an interior-mutability primitive
 ///    (`Mutex`, `Atomic*`, `OnceLock`, ...) — shared mutable state
 ///    that bypasses the session's cache/scratch ownership and is
 ///    invisible to its epoch invalidation.
-/// 3. A `let`-bound guard whose initializer takes a lock (`.lock(`,
+/// 2. A `let`-bound guard whose initializer takes a lock (`.lock(`,
 ///    `.read(`, `.write(`) and whose live range — up to the enclosing
 ///    `}` or an explicit `drop(guard)` — reaches a hot-module entry
 ///    point from [`HOT_CALLS`]: the kernel then runs serialized under
@@ -677,15 +558,6 @@ fn check_concurrency(code: &[Token], file: &str, out: &mut Vec<Violation>) {
 
     for (i, t) in code.iter().enumerate() {
         if !t.is_ident("static") {
-            continue;
-        }
-        if code.get(i + 1).is_some_and(|n| n.is_ident("mut")) {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: t.line,
-                rule: "concurrency".to_owned(),
-                message: "`static mut` is unsynchronized global state; move it into the session's owned state or a synchronized container".to_owned(),
-            });
             continue;
         }
         // The item's type runs from after the name to the `=` or `;`
@@ -887,47 +759,6 @@ fn doc_block_has_example(lines: &[&str], fn_line: usize) -> bool {
     false
 }
 
-fn check_attributes(tokens: &[Token], file: &str, out: &mut Vec<Violation>) {
-    // Collect `#![level(lint)]` inner attributes.
-    let mut present: BTreeSet<(String, String)> = BTreeSet::new();
-    for i in 0..tokens.len() {
-        if tokens[i].is_punct('#')
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('!'))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct('['))
-            && tokens.get(i + 3).is_some_and(|t| t.kind == TokKind::Ident)
-            && tokens.get(i + 4).is_some_and(|t| t.is_punct('('))
-            && tokens.get(i + 5).is_some_and(|t| t.kind == TokKind::Ident)
-            && tokens.get(i + 6).is_some_and(|t| t.is_punct(')'))
-        {
-            present.insert((tokens[i + 3].text.clone(), tokens[i + 5].text.clone()));
-        }
-    }
-    let has = |levels: &[&str], lint: &str| {
-        levels
-            .iter()
-            .any(|lv| present.contains(&((*lv).to_owned(), lint.to_owned())))
-    };
-    let mut require = |ok: bool, wanted: &str| {
-        if !ok {
-            out.push(Violation {
-                file: file.to_owned(),
-                line: 1,
-                rule: "attributes".to_owned(),
-                message: format!("crate root is missing `#![{wanted}]` (standard prelude)"),
-            });
-        }
-    };
-    require(has(&["forbid"], "unsafe_code"), "forbid(unsafe_code)");
-    require(
-        has(&["deny", "forbid"], "missing_docs"),
-        "deny(missing_docs)",
-    );
-    require(
-        has(&["warn", "deny", "forbid"], "missing_debug_implementations"),
-        "warn(missing_debug_implementations)",
-    );
-}
-
 /// Applies `xtask-allow` pragmas to the raw violation list and
 /// appends pragma-hygiene diagnostics (unknown rule, missing
 /// justification, unused allow). `check_unused` is off when the rule
@@ -939,8 +770,8 @@ pub(crate) fn apply_allows(
     raw: Vec<Violation>,
     check_unused: bool,
 ) -> Vec<Violation> {
-    // Effective line covered by each line-level pragma: its own line
-    // if trailing, else the next line carrying any code token.
+    // Effective line covered by each pragma: its own line if
+    // trailing, else the next line carrying any code token.
     let covered_line = |p: &crate::lexer::Pragma| -> Option<usize> {
         if p.trailing {
             return Some(p.line);
@@ -961,8 +792,7 @@ pub(crate) fn apply_allows(
             if !p.rules.iter().any(|r| r == &v.rule) {
                 continue;
             }
-            let applies = p.file_level || covered_line(p) == Some(v.line);
-            if applies {
+            if covered_line(p) == Some(v.line) {
                 used[pi] = true;
                 suppressed = true;
             }
@@ -973,17 +803,12 @@ pub(crate) fn apply_allows(
     }
 
     for (pi, p) in lexed.pragmas.iter().enumerate() {
-        let scope = if p.file_level {
-            "xtask-allow-file"
-        } else {
-            "xtask-allow"
-        };
         if p.rules.is_empty() {
             out.push(Violation {
                 file: file.to_owned(),
                 line: p.line,
                 rule: "allow".to_owned(),
-                message: format!("`{scope}` pragma lists no rules"),
+                message: "`xtask-allow` pragma lists no rules".to_owned(),
             });
             continue;
         }
@@ -994,7 +819,7 @@ pub(crate) fn apply_allows(
                     line: p.line,
                     rule: "allow".to_owned(),
                     message: format!(
-                        "`{scope}` names unknown rule `{r}` (known: {})",
+                        "`xtask-allow` names unknown rule `{r}` (known: {})",
                         KNOWN_RULES.join(", ")
                     ),
                 });
@@ -1005,7 +830,8 @@ pub(crate) fn apply_allows(
                 file: file.to_owned(),
                 line: p.line,
                 rule: "allow".to_owned(),
-                message: format!("`{scope}` requires a justification: `-- <why this is sound>`"),
+                message: "`xtask-allow` requires a justification: `-- <why this is sound>`"
+                    .to_owned(),
             });
         }
         if check_unused && !used[pi] && p.rules.iter().all(|r| KNOWN_RULES.contains(&r.as_str())) {
@@ -1014,7 +840,7 @@ pub(crate) fn apply_allows(
                 line: p.line,
                 rule: "allow".to_owned(),
                 message: format!(
-                    "unused `{scope}` (no `{}` diagnostic here); remove it",
+                    "unused `xtask-allow` (no `{}` diagnostic here); remove it",
                     p.rules.join("`/`")
                 ),
             });

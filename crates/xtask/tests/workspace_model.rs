@@ -5,6 +5,7 @@
 //! mutation without bump, allocating helper reachable from a hot
 //! kernel, and public-API baseline drift).
 
+#![allow(clippy::unwrap_used, reason = "test code")]
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 

@@ -13,6 +13,7 @@
 //! direct contacts (Proximity) versus briefing the most-connected
 //! employees (MaxDegree) — all at the same staffing budget.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing, reason = "example code")]
 use lcrb::evaluate::evaluate_protector_sets;
 use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;

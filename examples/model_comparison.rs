@@ -10,7 +10,10 @@
 //! protector set achieves under all four models implemented here:
 //! OPOAO, DOAM, competitive IC, and competitive LT.
 
-use lcrb_repro::diffusion::{CompetitiveIcModel, CompetitiveLtModel, CompetitiveSisModel};
+#![allow(clippy::indexing_slicing, reason = "example code")]
+use lcrb_repro::diffusion::{
+    CompetitiveIcModel, CompetitiveLtModel, CompetitiveSisModel, SimWorkspace,
+};
 use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -36,15 +39,12 @@ fn containment<M: TwoCascadeModel + Sync>(
     );
     // How many bridge ends stay safe on average is what LCRB cares
     // about; re-run one representative simulation to count them.
-    let mut rng = SmallRng::seed_from_u64(11);
-    let outcome = model.run(
-        instance.graph(),
-        &instance.seed_sets(protectors.to_vec())?,
-        &mut rng,
-    );
+    let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(11));
+    let seeds = instance.seed_sets(protectors.to_vec())?;
+    model.run_into(instance.snapshot(), &seeds, &mut ws, &mut rng);
     let safe = bridge_ends
         .iter()
-        .filter(|&&v| !outcome.status(v).is_infected())
+        .filter(|&&v| !ws.status(v).is_infected())
         .count();
     println!(
         "{name:>15}: mean infected {:7.1} -> {:7.1}  (bridge ends safe in sample run: {safe}/{})",
@@ -108,11 +108,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Bonus: the non-progressive SIS view (Trpevski et al., related
     // work) — prevalence with and without the protector campaign.
     let sis = CompetitiveSisModel::new(0.2, 0.35, 0.25, 60)?;
-    let mut rng = SmallRng::seed_from_u64(17);
-    let quiet = sis.run(instance.graph(), &instance.seed_sets(vec![])?, &mut rng);
-    let fought = sis.run(
-        instance.graph(),
+    let (mut ws, mut rng) = (SimWorkspace::new(), SmallRng::seed_from_u64(17));
+    let csr = instance.snapshot();
+    let quiet = sis.run_into(csr, &instance.seed_sets(vec![])?, &mut ws, &mut rng);
+    let fought = sis.run_into(
+        csr,
         &instance.seed_sets(protectors.to_vec())?,
+        &mut ws,
         &mut rng,
     );
     println!(

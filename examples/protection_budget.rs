@@ -25,6 +25,7 @@
 //! deadline; either way a starved solve reports `Completion::Degraded`
 //! instead of failing.
 
+#![allow(clippy::indexing_slicing, reason = "example code")]
 use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

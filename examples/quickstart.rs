@@ -9,6 +9,7 @@
 //! (batched alongside a max-degree baseline via `solve_many`), and
 //! verifies with a DOAM simulation that the rumor never escapes.
 
+#![allow(clippy::expect_used, reason = "example code")]
 use lcrb_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -11,6 +11,7 @@
 //! the culprit — then shows why finding the source matters by
 //! re-running containment with the inferred seed.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing, reason = "example code")]
 use lcrb::source::rank_sources;
 use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;

@@ -59,10 +59,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub use lcrb_community as community;
 pub use lcrb_datasets as datasets;
 pub use lcrb_diffusion as diffusion;

@@ -21,6 +21,7 @@
 //! `to_bits`, plus the full `Completion` value — checkpoint counts
 //! are part of the reproducibility contract.
 
+#![allow(clippy::expect_used, clippy::panic, reason = "test code")]
 use lcrb_repro::graph::generators;
 use lcrb_repro::prelude::*;
 use proptest::prelude::*;

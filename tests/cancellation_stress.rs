@@ -10,6 +10,7 @@
 //! is logged to the step summary); locally a fixed seed runs. The
 //! seed is printed so any failure is reproducible from the logs.
 
+#![allow(clippy::expect_used, reason = "test code")]
 use std::time::Duration;
 
 use lcrb_repro::graph::generators;

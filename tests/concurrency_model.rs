@@ -14,6 +14,7 @@
 //! sweep to `threads: 1`; the cross-request parallelism of
 //! `solve_many_threaded` is what's being explored.
 
+#![allow(clippy::expect_used, clippy::panic, reason = "test code")]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -2,6 +2,12 @@
 //! generation → community detection → bridge ends → solvers →
 //! simulation-verified protection.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "test code"
+)]
 use lcrb_repro::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -15,6 +15,7 @@
 //!    protector set agree within the MC objective's own confidence
 //!    interval plus the sketch's ε·|B| accuracy budget.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing, reason = "test code")]
 use lcrb_repro::diffusion::{AveragedOutcome, PAPER_OPOAO_HOPS};
 use lcrb_repro::lcrb::ProtectionObjective;
 use lcrb_repro::prelude::*;

@@ -32,6 +32,7 @@
 //! exclude evaluation counts and cache counters: those describe how
 //! much work a particular interleaving did, not what was selected.
 
+#![allow(clippy::expect_used, clippy::panic, reason = "test code")]
 use lcrb_repro::graph::generators;
 use lcrb_repro::prelude::*;
 use proptest::prelude::*;
